@@ -49,68 +49,129 @@ rowPtr(Tensor &x, std::size_t b, std::size_t t_idx)
     return x.data() + (b * x.dim(1) + t_idx) * x.dim(2);
 }
 
-/** Workspace tag for the gathered head slices. */
+/** Workspace tag for one (batch, head) task's panels and scratch. */
 struct AttnWs;
 /** Workspace tag for the backward pass's gathered/accumulator panels. */
 struct AttnGradWs;
-/** Workspace tag for the decode step's gathered cache slices. */
-struct DecodeWs;
 /** Workspace tag for the sparse paths' selected-index scratch. */
 struct AttnSelWs;
-/** Workspace tag for the decode step's selected-index scratch. */
-struct DecodeSelWs;
 
 /**
- * Shared body of the approximate per-query attention row (forwardImpl
- * and forwardStep): select keys, softmax over the selected set only,
- * context over the gathered selected V rows. All inputs are the
- * already-gathered per-(batch, head) panels, so the two call sites
- * replay identical op chains - the decode-vs-full-recompute bitwise
- * contract extends to the approximate kinds by construction.
- *
+ * Query rows per block of the attention core: one score GEMM per
+ * block, and one context GEMM when the block's rows share a visible
+ * count. A fixed constant rather than an option: the row count only
+ * partitions work, so it cannot change a bit, and at t = 2048 (d = 64,
+ * 2 heads, AVX-512 Xeon) blocks of 4 to 64 rows ran within 15% of each
+ * other, 32 and 64 at the fast end.
+ */
+constexpr std::size_t kQueryBlock = 32;
+
+/**
+ * One (batch, head) task's operands, carved from the calling thread's
+ * workspace by headPanels(): gathered query/context rows, K^T and V
+ * over the task's real keys, the score block, and - approximate kinds
+ * only - the selection scratch.
+ */
+struct HeadPanels
+{
+    std::size_t valid = 0; ///< real keys (K/V rows gathered)
+    std::size_t dh = 0;    ///< head width
+    float *qh = nullptr;   ///< query rows, [qrows, dh]
+    float *ch = nullptr;   ///< context rows, [qrows, dh]
+    float *kht = nullptr;  ///< K^T, [dh, valid] (row stride valid)
+    float *vh = nullptr;   ///< V, [valid, dh]
+    float *sblk = nullptr; ///< score block, [block rows, valid]
+    float *prow = nullptr; ///< selected probabilities, [valid]
+    float *vsel = nullptr; ///< gathered selected V rows, [valid, dh]
+    std::uint32_t *sel = nullptr;  ///< selected key indices, [valid]
+    std::uint32_t *cand = nullptr; ///< butterfly candidates, [valid]
+};
+
+/**
+ * Carve a task's panels for @p qrows gathered query rows, @p valid real
+ * keys and a score block of @p block_rows rows.
+ */
+HeadPanels
+headPanels(std::size_t qrows, std::size_t valid, std::size_t dh,
+           std::size_t block_rows, bool approx)
+{
+    HeadPanels p;
+    p.valid = valid;
+    p.dh = dh;
+    const std::size_t floats = 2 * qrows * dh + 2 * valid * dh +
+                               block_rows * valid +
+                               (approx ? valid * (dh + 1) : 0);
+    p.qh = runtime::threadWorkspace<AttnWs>(floats);
+    p.ch = p.qh + qrows * dh;
+    p.kht = p.ch + qrows * dh;
+    p.vh = p.kht + valid * dh;
+    p.sblk = p.vh + valid * dh;
+    if (approx) {
+        p.prow = p.sblk + block_rows * valid;
+        p.vsel = p.prow + valid;
+        p.sel = runtime::threadWorkspaceAs<AttnSelWs, std::uint32_t>(
+            2 * valid);
+        p.cand = p.sel + valid;
+    }
+    return p;
+}
+
+/**
+ * Softmax of @p n scores in place: scale-then-max from -1e30f,
+ * ascending exp/denominator, then `* inv`. The one expression sequence
+ * every attention path runs, so rows that reach it with the same
+ * scores leave it with the same bits.
+ */
+void
+softmaxRow(float *s, std::size_t n, float scale)
+{
+    float mx = -1e30f;
+    for (std::size_t j = 0; j < n; ++j) {
+        s[j] *= scale;
+        mx = std::max(mx, s[j]);
+    }
+    float denom = 0.0f;
+    for (std::size_t j = 0; j < n; ++j) {
+        s[j] = std::exp(s[j] - mx);
+        denom += s[j];
+    }
+    const float inv = 1.0f / denom;
+    for (std::size_t j = 0; j < n; ++j)
+        s[j] = s[j] * inv;
+}
+
+/**
+ * Approximate attention for query @p i: select keys, softmax over the
+ * selected set only, context over the gathered selected V rows.
  * Selection is deterministic (nn/sparse_attention.h) and the selected
- * set is processed in ascending key order with the dense path's exact
- * expression sequence (scale-then-max from -1e30f, ascending exp/sum,
- * one gemmRowsIKJ row call), so TopK with k >= visible reproduces the
- * dense bits and every kind is bitwise run-to-run deterministic.
+ * set is processed in ascending key order through softmaxRow and one
+ * gemmRowsIKJ row call, so TopK with k >= visible reproduces the dense
+ * bits and every kind is bitwise run-to-run deterministic. Selection
+ * depends only on i and the real prefix, so the ragged/masked/unpadded
+ * parity argument carries over unchanged.
  *
- * @param sparse   validated non-dense config
  * @param i        query position (key index space; may exceed visible
  *                 for discarded padded rows - butterfly clamps)
  * @param visible  number of visible keys (causal prefix or valid len)
- * @param stride   row stride of the transposed K panel @p kht
  * @param qi       query head slice, [dh]
- * @param kht      transposed K head panel, [dh, stride]
- * @param vh       V head panel, [>= visible, dh]
- * @param srow     score scratch, [>= visible]
- * @param prow     selected-probability scratch, [>= visible]
- * @param vsel     gathered selected-V scratch, [>= visible * dh]
- * @param sel,cand index scratch, each [>= visible]
+ * @param srow     TopK: the query's full score row from the block
+ *                 score GEMM; butterfly kinds: candidate-score
+ *                 scratch. [>= visible]
  * @param ci       context output row, [dh] (overwritten)
  * @param arow     optional dense attn_ cache row (zero-initialised):
  *                 selected probabilities land at their key positions
- * @return number of selected keys
  */
-std::size_t
-sparseAttendRow(const SparseAttentionConfig &sparse, std::size_t i,
-                std::size_t visible, std::size_t dh, std::size_t stride,
-                float scale, const float *qi, const float *kht,
-                const float *vh, float *srow, float *prow, float *vsel,
-                std::uint32_t *sel, std::uint32_t *cand, float *ci,
-                float *arow)
+void
+sparseAttendRow(const SparseAttentionConfig &sparse, const HeadPanels &p,
+                std::size_t i, std::size_t visible, float scale,
+                const float *qi, float *srow, float *ci, float *arow)
 {
+    const std::size_t dh = p.dh;
+    float *prow = p.prow;
+    std::uint32_t *sel = p.sel;
     std::size_t m = 0;
     if (sparse.kind == SparseKind::TopK) {
-        // Full score row via the dense path's exact axpy chains (the
-        // A^3 approximation keeps exact scores and prunes after), so
-        // k >= visible degenerates bitwise to dense attention.
-        std::fill(srow, srow + visible, 0.0f);
-        for (std::size_t c = 0; c < dh; ++c) {
-            const float qv = qi[c];
-            const float *krow = kht + c * stride;
-            for (std::size_t j = 0; j < visible; ++j)
-                srow[j] = runtime::madd(qv, krow[j], srow[j]);
-        }
+        // Exact scores, pruned after (the A^3 approximation).
         m = selectTopK(srow, visible, sparse.k, sel);
         for (std::size_t s = 0; s < m; ++s)
             prow[s] = srow[sel[s]];
@@ -118,13 +179,14 @@ sparseAttendRow(const SparseAttentionConfig &sparse, std::size_t i,
         // Butterfly kinds: scores ONLY at the O(log t) candidate
         // positions - the full score row is never materialised. Each
         // score's reduction runs the same ascending-c madd chain as
-        // the dense path, so a shared position carries the same bits.
+        // the score GEMM, so a shared position carries the same bits.
+        std::uint32_t *cand = p.cand;
         const std::size_t nc = butterflyCandidates(i, visible, cand);
         for (std::size_t s = 0; s < nc; ++s) {
-            const float *krow = kht + cand[s];
+            const float *krow = p.kht + cand[s];
             float acc = 0.0f;
             for (std::size_t c = 0; c < dh; ++c)
-                acc = runtime::madd(qi[c], krow[c * stride], acc);
+                acc = runtime::madd(qi[c], krow[c * p.valid], acc);
             srow[s] = acc;
         }
         if (sparse.kind == SparseKind::ButterflyTopK && sparse.k < nc) {
@@ -141,21 +203,7 @@ sparseAttendRow(const SparseAttentionConfig &sparse, std::size_t i,
             }
         }
     }
-    // Softmax over the selected set only, replaying the dense path's
-    // expression sequence over the compacted row.
-    float mx = -1e30f;
-    for (std::size_t s = 0; s < m; ++s) {
-        prow[s] *= scale;
-        mx = std::max(mx, prow[s]);
-    }
-    float denom = 0.0f;
-    for (std::size_t s = 0; s < m; ++s) {
-        prow[s] = std::exp(prow[s] - mx);
-        denom += prow[s];
-    }
-    const float inv = 1.0f / denom;
-    for (std::size_t s = 0; s < m; ++s)
-        prow[s] = prow[s] * inv;
+    softmaxRow(prow, m, scale);
     // Training cache: probabilities at their original key positions;
     // unselected keys stay exactly zero, which backward() skips -
     // straight-through selection, no new backward code.
@@ -165,9 +213,71 @@ sparseAttendRow(const SparseAttentionConfig &sparse, std::size_t i,
     // Context over the gathered selected V rows, through the same row
     // kernel as the dense path (identity selection -> identical call).
     for (std::size_t s = 0; s < m; ++s)
-        std::memcpy(vsel + s * dh, vh + sel[s] * dh, dh * sizeof(float));
-    runtime::gemmRowsIKJ(prow, vsel, ci, 0, 1, m, dh);
-    return m;
+        std::memcpy(p.vsel + s * dh, p.vh + sel[s] * dh,
+                    dh * sizeof(float));
+    runtime::gemmRowsIKJ(prow, p.vsel, ci, 0, 1, m, dh);
+}
+
+/**
+ * Attention for query rows [i0, i0 + rows) of one (batch, head) task,
+ * rows <= the panels' score-block rows. The one core behind every
+ * forward entry point: forwardImpl walks a task's queries in blocks of
+ * kQueryBlock, and forwardStep is a one-row block (query L - 1 over
+ * the L cached keys).
+ *
+ * Dense and TopK score the whole block with one GEMM over the real
+ * keys, [rows x dh] * [dh x valid]; causal rows ignore the columns past
+ * their visible prefix. Dense then runs softmaxRow per row and one
+ * context GEMM, [rows x valid] * [valid x dh], when every row sees all
+ * valid keys - or one row call each when the visible counts differ
+ * (causal). The block's row count cannot change a bit: every register
+ * tile of the fp32 GEMM keeps one k-ascending madd chain from zero per
+ * output, which is exactly the chain of a per-key dot product and of a
+ * one-row context call.
+ *
+ * @param qb  query rows i0.., [rows, dh]
+ * @param cb  context rows i0.., [rows, dh] (overwritten)
+ * @param ab  attn_ row of query i0 (training cache, zero-initialised,
+ *            rows @p ab_stride apart) or null
+ */
+void
+attendBlock(const HeadPanels &p, const SparseAttentionConfig &sparse,
+            bool causal, float scale, std::size_t i0, std::size_t rows,
+            const float *qb, float *cb, float *ab, std::size_t ab_stride)
+{
+    const std::size_t valid = p.valid;
+    const std::size_t dh = p.dh;
+    const auto visibleOf = [&](std::size_t i) {
+        return causal ? std::min(i + 1, valid) : valid;
+    };
+    if (sparse.kind == SparseKind::Dense ||
+        sparse.kind == SparseKind::TopK)
+        runtime::gemmRowsIKJ(qb, p.kht, p.sblk, 0, rows, dh, valid);
+    if (!sparse.dense()) {
+        for (std::size_t r = 0; r < rows; ++r)
+            sparseAttendRow(sparse, p, i0 + r, visibleOf(i0 + r), scale,
+                            qb + r * dh, p.sblk + r * valid, cb + r * dh,
+                            ab ? ab + r * ab_stride : nullptr);
+        return;
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t visible = visibleOf(i0 + r);
+        float *srow = p.sblk + r * valid;
+        softmaxRow(srow, visible, scale);
+        // (the attn_ masked tail stays at the tensor's zero init)
+        if (ab)
+            std::memcpy(ab + r * ab_stride, srow,
+                        visible * sizeof(float));
+    }
+    // Visible counts only grow with i, so the first row seeing every
+    // valid key means they all do.
+    if (visibleOf(i0) == valid) {
+        runtime::gemmRowsIKJ(p.sblk, p.vh, cb, 0, rows, valid, dh);
+        return;
+    }
+    for (std::size_t r = 0; r < rows; ++r)
+        runtime::gemmRowsIKJ(p.sblk + r * valid, p.vh, cb + r * dh, 0, 1,
+                             visibleOf(i0 + r), dh);
 }
 
 } // namespace
@@ -261,10 +371,11 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
     }
 
     Tensor ctx = Tensor::zeros(b_, t_, d_model_);
+    const bool approx = !sparse_.dense();
 
     // One task per (batch, head): gather that head's Q/K/V slices into
-    // contiguous [t, dh] panels, then scores -> softmax -> context on
-    // the shared micro-kernels. Each task writes disjoint attn_ rows
+    // contiguous panels, then run its queries through attendBlock in
+    // blocks of kQueryBlock rows. Each task writes disjoint attn_ rows
     // and a disjoint ctx column slice, so the parallel loop is
     // deterministic at any thread count.
     runtime::parallelFor(0, b_ * heads_, 1, [&](std::size_t task0,
@@ -273,110 +384,44 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
             const std::size_t b = task / heads_;
             const std::size_t h = task % heads_;
             const std::size_t off = h * dh;
-            // Keys/values past the real prefix are padding: masked out
-            // of scores, softmax and context entirely, so each real
-            // query row runs the exact op sequence of an unpadded
-            // length-`valid` forward.
+            // Keys/values past the real prefix are padding: never
+            // gathered, so each real query row runs the exact op
+            // sequence of an unpadded length-`valid` forward.
             const std::size_t valid =
                 ragged ? rows->len(b) : (lens ? (*lens)[b] : t_);
             // The masked dense path still computes the padded QUERY
             // rows (over the real prefix) and discards them
-            // downstream; the ragged path skips them - gather and
-            // compute stop at `valid`, which cannot change the real
-            // rows' bits (rows are independent).
+            // downstream; the ragged path skips them - rows are
+            // independent, so this cannot change the real rows' bits.
             const std::size_t active = ragged ? valid : t_;
-
-            // The sparse kinds add a compacted-probability row, a
-            // gathered selected-V panel and index scratch on top of
-            // the dense layout; the dense request is unchanged.
-            const bool approx = !sparse_.dense();
-            const std::size_t ws_floats =
-                t_ * (4 * dh + 1) + (approx ? t_ * (dh + 1) : 0);
-            float *scratch = runtime::threadWorkspace<AttnWs>(ws_floats);
-            float *qh = scratch;
-            float *kht = qh + t_ * dh; // K head slice, transposed
-            float *vh = kht + t_ * dh;
-            float *ch = vh + t_ * dh;
-            float *srow = ch + t_ * dh;
-            float *prow = approx ? srow + t_ : nullptr;
-            float *vsel = approx ? prow + t_ : nullptr;
-            std::uint32_t *sel =
-                approx ? runtime::threadWorkspaceAs<AttnSelWs,
-                                                    std::uint32_t>(2 * t_)
-                       : nullptr;
-            std::uint32_t *cand = approx ? sel + t_ : nullptr;
-            // K is gathered transposed ([dh, t]) so the score loop
-            // below runs contiguously over keys.
-            for (std::size_t t_idx = 0; t_idx < active; ++t_idx) {
-                std::memcpy(qh + t_idx * dh,
-                            rowPtr(q, b, t_idx) + off,
+            const HeadPanels p =
+                headPanels(active, valid, dh,
+                           std::min(kQueryBlock, active), approx);
+            for (std::size_t t_idx = 0; t_idx < active; ++t_idx)
+                std::memcpy(p.qh + t_idx * dh, rowPtr(q, b, t_idx) + off,
                             dh * sizeof(float));
-                std::memcpy(vh + t_idx * dh,
-                            rowPtr(v, b, t_idx) + off,
+            // K is gathered transposed ([dh, valid]): the B operand of
+            // the score GEMM.
+            for (std::size_t j = 0; j < valid; ++j) {
+                std::memcpy(p.vh + j * dh, rowPtr(v, b, j) + off,
                             dh * sizeof(float));
-                const float *krow = rowPtr(k, b, t_idx) + off;
+                const float *krow = rowPtr(k, b, j) + off;
                 for (std::size_t c = 0; c < dh; ++c)
-                    kht[c * t_ + t_idx] = krow[c];
+                    p.kht[c * valid + j] = krow[c];
             }
 
-            for (std::size_t i = 0; i < active; ++i) {
-                const std::size_t visible =
-                    causal_ ? std::min(i + 1, valid) : valid;
-                const float *qi = qh + i * dh;
-                if (approx) {
-                    // Approximate row: deterministic selection +
-                    // softmax over the selected set only. Selection
-                    // depends only on (i, the real prefix), so the
-                    // ragged/masked/unpadded bitwise parity argument
-                    // carries over unchanged.
-                    float *arow =
-                        ragged ? nullptr
-                               : attn_.data() +
-                                     (b * heads_ * t_ + h * t_ + i) * t_;
-                    sparseAttendRow(sparse_, i, visible, dh, t_, scale,
-                                    qi, kht, vh, srow, prow, vsel, sel,
-                                    cand, ch + i * dh, arow);
-                    continue;
-                }
-                // Scores q_i . k_j for the visible keys: axpy over the
-                // transposed K panel keeps the j loop contiguous while
-                // each score's reduction stays in c order (bitwise
-                // equal to the reference dot product).
-                std::fill(srow, srow + visible, 0.0f);
-                for (std::size_t c = 0; c < dh; ++c) {
-                    const float qv = qi[c];
-                    const float *krow = kht + c * t_;
-                    for (std::size_t j = 0; j < visible; ++j)
-                        srow[j] = runtime::madd(qv, krow[j], srow[j]);
-                }
-                float mx = -1e30f;
-                for (std::size_t j = 0; j < visible; ++j) {
-                    srow[j] *= scale;
-                    mx = std::max(mx, srow[j]);
-                }
-                float denom = 0.0f;
-                for (std::size_t j = 0; j < visible; ++j) {
-                    srow[j] = std::exp(srow[j] - mx);
-                    denom += srow[j];
-                }
-                const float inv = 1.0f / denom;
-                // Normalised probabilities land in the attn_ training
-                // cache (dense) or stay in srow (ragged) - the same
-                // srow[j] * inv product either way.
-                float *arow =
-                    ragged ? srow
-                           : attn_.data() +
-                                 (b * heads_ * t_ + h * t_ + i) * t_;
-                for (std::size_t j = 0; j < visible; ++j)
-                    arow[j] = srow[j] * inv;
-                // (masked tail stays at the tensor's zero init)
-                // Context row: ctx_i += sum_j a_ij * v_j.
-                runtime::gemmRowsIKJ(arow, vh, ch + i * dh, 0, 1,
-                                     visible, dh);
+            for (std::size_t i0 = 0; i0 < active; i0 += kQueryBlock) {
+                float *ab = ragged ? nullptr
+                                   : attn_.data() +
+                                         (b * heads_ * t_ + h * t_ + i0) *
+                                             t_;
+                attendBlock(p, sparse_, causal_, scale, i0,
+                            std::min(kQueryBlock, active - i0),
+                            p.qh + i0 * dh, p.ch + i0 * dh, ab, t_);
             }
 
             for (std::size_t i = 0; i < active; ++i)
-                std::memcpy(rowPtr(ctx, b, i) + off, ch + i * dh,
+                std::memcpy(rowPtr(ctx, b, i) + off, p.ch + i * dh,
                             dh * sizeof(float));
         }
     });
@@ -442,14 +487,15 @@ MultiHeadAttention::forwardStep(const Tensor &x, StepState &step)
     }
 
     Tensor ctx = Tensor::zeros(n, 1, d_model_);
+    const bool approx = !sparse_.dense();
 
-    // One task per (sequence, head), as in forwardImpl; each task
-    // gathers its sequence's cached prefix and replays forwardImpl's
-    // last-query-row pipeline verbatim: scores via ascending-c madd
-    // chains over the transposed K panel, scale-then-max from -1e30f,
-    // exp/denom ascending-j, context through the same gemmRowsIKJ row
-    // kernel. Tasks write disjoint ctx column slices, so the loop is
-    // deterministic at any thread count.
+    // One task per (sequence, head), as in forwardImpl: gather the
+    // sequence's cached prefix, then run query L - 1 through
+    // forwardImpl's attendBlock as a one-row block. Its per-output
+    // chains do not depend on the block's row count, so the step row
+    // matches the full recompute's last causal row bit for bit, for
+    // every kind. Tasks write disjoint ctx column slices, so the loop
+    // is deterministic at any thread count.
     runtime::parallelFor(0, n * heads_, 1, [&](std::size_t task0,
                                                std::size_t task1) {
         for (std::size_t task = task0; task < task1; ++task) {
@@ -458,67 +504,17 @@ MultiHeadAttention::forwardStep(const Tensor &x, StepState &step)
             const std::size_t off = h * dh;
             const KVCache &c = *step.caches[b];
             const std::size_t L = c.len;
-
-            const bool approx = !sparse_.dense();
-            const std::size_t ws_floats =
-                L * (2 * dh + 1) + dh + (approx ? L * (dh + 1) : 0);
-            float *scratch = runtime::threadWorkspace<DecodeWs>(ws_floats);
-            float *kht = scratch;        // K head slice, transposed [dh, L]
-            float *vh = kht + L * dh;    // V head slice, [L, dh]
-            float *srow = vh + L * dh;   // scores, [L]
-            float *ch = srow + L;        // context row, [dh]
-            float *prow = approx ? ch + dh : nullptr;
-            float *vsel = approx ? prow + L : nullptr;
-            std::uint32_t *sel =
-                approx ? runtime::threadWorkspaceAs<DecodeSelWs,
-                                                    std::uint32_t>(2 * L)
-                       : nullptr;
-            std::uint32_t *cand = approx ? sel + L : nullptr;
+            const HeadPanels p = headPanels(0, L, dh, 1, approx);
             for (std::size_t j = 0; j < L; ++j) {
                 const float *kr = c.k.data() + j * d_model_ + off;
                 for (std::size_t cc = 0; cc < dh; ++cc)
-                    kht[cc * L + j] = kr[cc];
-                std::memcpy(vh + j * dh, c.v.data() + j * d_model_ + off,
+                    p.kht[cc * L + j] = kr[cc];
+                std::memcpy(p.vh + j * dh, c.v.data() + j * d_model_ + off,
                             dh * sizeof(float));
             }
-
-            const float *qi = q.data() + b * d_model_ + off;
-            if (approx) {
-                // The step row is query position L-1 with the whole
-                // cached prefix visible: the same sparseAttendRow
-                // body forwardImpl's approximate branch runs for its
-                // last causal query row, so decode stays bitwise
-                // identical to the full recompute for every kind.
-                sparseAttendRow(sparse_, L - 1, L, dh, L, scale, qi,
-                                kht, vh, srow, prow, vsel, sel, cand,
-                                ch, nullptr);
-                std::memcpy(ctx.data() + b * d_model_ + off, ch,
-                            dh * sizeof(float));
-                continue;
-            }
-            std::fill(srow, srow + L, 0.0f);
-            for (std::size_t cc = 0; cc < dh; ++cc) {
-                const float qv = qi[cc];
-                const float *krow = kht + cc * L;
-                for (std::size_t j = 0; j < L; ++j)
-                    srow[j] = runtime::madd(qv, krow[j], srow[j]);
-            }
-            float mx = -1e30f;
-            for (std::size_t j = 0; j < L; ++j) {
-                srow[j] *= scale;
-                mx = std::max(mx, srow[j]);
-            }
-            float denom = 0.0f;
-            for (std::size_t j = 0; j < L; ++j) {
-                srow[j] = std::exp(srow[j] - mx);
-                denom += srow[j];
-            }
-            const float inv = 1.0f / denom;
-            for (std::size_t j = 0; j < L; ++j)
-                srow[j] = srow[j] * inv;
-            runtime::gemmRowsIKJ(srow, vh, ch, 0, 1, L, dh);
-            std::memcpy(ctx.data() + b * d_model_ + off, ch,
-                        dh * sizeof(float));
+            attendBlock(p, sparse_, causal_, scale, L - 1, 1,
+                        q.data() + b * d_model_ + off,
+                        ctx.data() + b * d_model_ + off, nullptr, 0);
         }
     });
     return proj_o_->forwardRows(ctx, rows);

@@ -58,9 +58,10 @@ class MultiHeadAttention : public Layer
 
     /**
      * Parallel forward: per-(batch, head) tasks gather contiguous head
-     * slices and run the scores/softmax/context pipeline on the shared
-     * GEMM micro-kernels (runtime/kernels.h). Bitwise identical to
-     * forwardReference at any thread count.
+     * slices and run blocks of query rows through the scores/softmax/
+     * context pipeline - one score GEMM and one context GEMM per block
+     * on the shared micro-kernels (runtime/kernels.h). Bitwise
+     * identical to forwardReference at any thread count.
      */
     Tensor forward(const Tensor &x) override;
 
@@ -95,12 +96,12 @@ class MultiHeadAttention : public Layer
      * One incremental decode step over per-sequence K/V prefix caches
      * (nn/decode.h). @p x is [n_live, 1, d]; the step row's K/V
      * projections are APPENDED to each sequence's cache, then each
-     * (sequence, head) task attends over the whole cached prefix with
-     * the exact per-element accumulation chains of forwardRows' last
-     * query row - so the output row is bitwise identical to a full
-     * causal recompute of that position, at any thread count and any
-     * live-set composition. Requires causal attention (the cached
-     * prefix IS the visible set). Inference-only.
+     * (sequence, head) task attends over the whole cached prefix as a
+     * one-row block of forwardRows' attention core - so the output row
+     * is bitwise identical to a full causal recompute of that
+     * position, at any thread count and any live-set composition.
+     * Requires causal attention (the cached prefix IS the visible
+     * set). Inference-only.
      */
     Tensor forwardStep(const Tensor &x, StepState &step) override;
 

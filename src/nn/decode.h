@@ -20,10 +20,10 @@
  *  - causal attention at position i reads only positions <= i, so the
  *    cached K/V rows - captured when those positions were the step
  *    row - are the very values a full recompute would project;
- *  - MultiHeadAttention::forwardStep replays the exact per-element
- *    accumulation chains of forwardRows' last query row (scores
- *    ascending-c through runtime::madd, softmax ascending-j, context
- *    through the same gemmRowsIKJ row kernel).
+ *  - MultiHeadAttention::forwardStep runs the attention core of
+ *    forwardRows on a one-row query block (the step row over the whole
+ *    cached prefix), and that core's per-element accumulation chains
+ *    do not depend on how many rows a block holds.
  * Quantized projections keep the contract: int8 activation
  * quantisation is per-row, fp16 rounding per-element - both
  * row-independent.

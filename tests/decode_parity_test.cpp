@@ -139,6 +139,20 @@ TEST_F(DecodeParityTest, SingleSequenceToMaxSeq)
     expectDecodeParity(*gen, prompts, cfg.max_seq - 3 - 1, "to-max-seq");
 }
 
+TEST_F(DecodeParityTest, CacheLongerThanTwoKeyTiles)
+{
+    // Caches past 64 rows: the step's score GEMM spans three 32-key
+    // column tiles (the last partial) and the head width fills a whole
+    // 32-column context tile.
+    Rng rng(14);
+    ModelConfig cfg = genCfg(ModelKind::Transformer);
+    cfg.max_seq = 80;
+    cfg.d_hid = 64;
+    const auto prompts = testutil::makeRequests({60, 33, 2}, cfg.vocab, 25);
+    auto gen = buildGenerator(cfg, rng);
+    expectDecodeParity(*gen, prompts, 10, "long-cache");
+}
+
 // -------------------------------------------- quantized decode parity
 
 TEST_F(DecodeParityTest, Int8QuantizedParity)

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -130,31 +132,44 @@ TEST_F(ParallelKernelsTest, ButterflyLinearBatchParity)
     }
 }
 
+/** Dense-projection attention; equal seeds give equal weights. */
+std::unique_ptr<nn::MultiHeadAttention>
+makeAttention(unsigned seed, std::size_t d, std::size_t heads, bool causal)
+{
+    Rng rng(seed);
+    return std::make_unique<nn::MultiHeadAttention>(
+        d, heads, std::make_unique<nn::Dense>(d, d, rng),
+        std::make_unique<nn::Dense>(d, d, rng),
+        std::make_unique<nn::Dense>(d, d, rng),
+        std::make_unique<nn::Dense>(d, d, rng), causal);
+}
+
+/** Attention shapes for the forward parity suites: {t, d, heads}. The
+ *  long ones fill whole 4x32 GEMM tiles, more than one 32-row query
+ *  block and more than one 32-key column tile, with ragged tails. */
+struct AttnShape
+{
+    std::size_t t, d, heads;
+};
+constexpr AttnShape kAttnShapes[] = {{7, 12, 3}, {67, 64, 2}, {130, 64, 2}};
+
 TEST_F(ParallelKernelsTest, AttentionForwardParity)
 {
     // Odd t, heads > 1, batch > 1; causal and bidirectional.
-    for (bool causal : {false, true}) {
-        forEachThreadCount([&](std::size_t threads) {
-            // Two modules built from identically-seeded rng streams so
-            // their projection weights match bit for bit.
-            auto mk = [causal](Rng &rng) {
-                const std::size_t d = 12;
-                return std::make_unique<nn::MultiHeadAttention>(
-                    d, 3, std::make_unique<nn::Dense>(d, d, rng),
-                    std::make_unique<nn::Dense>(d, d, rng),
-                    std::make_unique<nn::Dense>(d, d, rng),
-                    std::make_unique<nn::Dense>(d, d, rng), causal);
-            };
-            Rng data_rng(5);
-            Tensor x = data_rng.normalTensor({2, 7, 12});
-            Rng rng_fast(17), rng_ref(17);
-            auto fast = mk(rng_fast);
-            auto ref = mk(rng_ref);
-            const Tensor got = fast->forward(x);
-            const Tensor want = ref->forwardReference(x);
-            EXPECT_TRUE(bitwiseEqual(got, want))
-                << "causal=" << causal << " threads=" << threads;
-        });
+    for (const AttnShape &s : kAttnShapes) {
+        Rng data_rng(5);
+        const Tensor x = data_rng.normalTensor({2, s.t, s.d});
+        for (bool causal : {false, true}) {
+            const Tensor want =
+                makeAttention(17, s.d, s.heads, causal)->forwardReference(x);
+            forEachThreadCount([&](std::size_t threads) {
+                const Tensor got =
+                    makeAttention(17, s.d, s.heads, causal)->forward(x);
+                EXPECT_TRUE(bitwiseEqual(got, want))
+                    << "t=" << s.t << " causal=" << causal
+                    << " threads=" << threads;
+            });
+        }
     }
 }
 
@@ -310,19 +325,25 @@ TEST_F(ParallelKernelsTest, RaggedAttentionParity)
     // forwardRows vs forwardMasked: the ragged core computes only the
     // real prefix (queries AND keys) and skips the attn_ cache, yet
     // valid rows must match the masked path bit for bit - causal too.
-    const std::size_t d = 12, seq = 9;
-    for (bool causal : {false, true}) {
-        Rng rng(97);
-        nn::MultiHeadAttention mha(
-            d, 3, std::make_unique<nn::Dense>(d, d, rng),
-            std::make_unique<nn::Dense>(d, d, rng),
-            std::make_unique<nn::Dense>(d, d, rng),
-            std::make_unique<nn::Dense>(d, d, rng), causal);
-        for (const auto &lens : testutil::raggedLensSweep(seq, 239)) {
-            const nn::RowSet rows(lens.size(), seq, lens);
-            const Tensor x = testutil::raggedInput(rows, d, 101);
-            testutil::expectRaggedForwardParity(
-                mha, x, rows, causal ? "MHA causal" : "MHA");
+    // The long shapes add lengths straddling the 32-row query block
+    // and the 32-key column tile.
+    const AttnShape shapes[] = {{9, 12, 3}, {67, 64, 2}, {130, 64, 2}};
+    for (const AttnShape &s : shapes) {
+        auto sweep = testutil::raggedLensSweep(s.t, 239);
+        if (s.t > 64) {
+            sweep.push_back({31, 32, 33, s.t});
+            sweep.push_back({63, 64, 65, 1, s.t - 1});
+        }
+        for (bool causal : {false, true}) {
+            auto mha = makeAttention(97, s.d, s.heads, causal);
+            for (const auto &lens : sweep) {
+                const nn::RowSet rows(lens.size(), s.t, lens);
+                const Tensor x = testutil::raggedInput(rows, s.d, 101);
+                testutil::expectRaggedForwardParity(
+                    *mha, x, rows,
+                    (causal ? "MHA causal t=" : "MHA t=") +
+                        std::to_string(s.t));
+            }
         }
     }
 }

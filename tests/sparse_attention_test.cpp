@@ -176,30 +176,38 @@ TEST_F(SparseAttentionTest, SetSparseRejectsTopKWithoutK)
 
 TEST_F(SparseAttentionTest, TopKCoveringAllKeysIsBitwiseDense)
 {
-    const std::size_t t = 37;
-    const Tensor x = randomTensor({3, t, 32}, 11);
-    for (bool causal : {false, true}) {
-        auto exact = makeAttention(21, {}, causal);
-        for (std::size_t k : {t, t + 5}) {
-            auto topk = makeAttention(
-                21, {SparseKind::TopK, k}, causal);
-            runtime::setNumThreads(1);
-            const Tensor want = exact->forward(x);
-            forEachThreadCount([&](std::size_t threads) {
-                EXPECT_TRUE(bitwiseEqual(topk->forward(x), want))
-                    << "causal=" << causal << " k=" << k
-                    << " threads=" << threads;
-            });
-            // Masked batch too: selection sees only the real prefix.
-            const std::vector<std::size_t> lens = {t, 9, 23};
-            runtime::setNumThreads(1);
-            const Tensor want_m = exact->forwardMasked(x, lens);
-            forEachThreadCount([&](std::size_t threads) {
-                EXPECT_TRUE(bitwiseEqual(
-                    topk->forwardMasked(x, lens), want_m))
-                    << "masked causal=" << causal << " k=" << k
-                    << " threads=" << threads;
-            });
+    // {t, d, masked lens}: t = 130 at d = 64 spans several 32-row
+    // query blocks and 32-key column tiles, and its lens straddle both.
+    const struct
+    {
+        std::size_t t, d;
+        std::vector<std::size_t> lens;
+    } shapes[] = {{37, 32, {37, 9, 23}}, {130, 64, {130, 33, 64}}};
+    for (const auto &sh : shapes) {
+        const std::size_t t = sh.t;
+        const Tensor x = randomTensor({3, t, sh.d}, 11);
+        for (bool causal : {false, true}) {
+            auto exact = makeAttention(21, {}, causal, sh.d);
+            for (std::size_t k : {t, t + 5}) {
+                auto topk = makeAttention(
+                    21, {SparseKind::TopK, k}, causal, sh.d);
+                runtime::setNumThreads(1);
+                const Tensor want = exact->forward(x);
+                forEachThreadCount([&](std::size_t threads) {
+                    EXPECT_TRUE(bitwiseEqual(topk->forward(x), want))
+                        << "t=" << t << " causal=" << causal
+                        << " k=" << k << " threads=" << threads;
+                });
+                // Masked batch too: selection sees only the real prefix.
+                runtime::setNumThreads(1);
+                const Tensor want_m = exact->forwardMasked(x, sh.lens);
+                forEachThreadCount([&](std::size_t threads) {
+                    EXPECT_TRUE(bitwiseEqual(
+                        topk->forwardMasked(x, sh.lens), want_m))
+                        << "masked t=" << t << " causal=" << causal
+                        << " k=" << k << " threads=" << threads;
+                });
+            }
         }
     }
 }
