@@ -167,7 +167,11 @@ BM_ButterflyBatchStageMajor(benchmark::State &state)
     state.counters["pool_threads"] =
         static_cast<double>(runtime::numThreads());
 }
+// {4, 256} is a decode step's projection and {30, 256} a classify
+// call's (served rows are rarely a multiple of the 16-row block).
 BENCHMARK(BM_ButterflyBatchStageMajor)
+    ->Args({4, 256})
+    ->Args({30, 256})
     ->Args({64, 512})
     ->Args({256, 512});
 
@@ -188,7 +192,10 @@ BM_ButterflyBatchInt8(benchmark::State &state)
     state.counters["pool_threads"] =
         static_cast<double>(runtime::numThreads());
 }
-BENCHMARK(BM_ButterflyBatchInt8)->Args({64, 512});
+BENCHMARK(BM_ButterflyBatchInt8)
+    ->Args({4, 256})
+    ->Args({30, 256})
+    ->Args({64, 512});
 
 static void
 BM_ButterflyBatchF16(benchmark::State &state)
@@ -207,7 +214,10 @@ BM_ButterflyBatchF16(benchmark::State &state)
     state.counters["pool_threads"] =
         static_cast<double>(runtime::numThreads());
 }
-BENCHMARK(BM_ButterflyBatchF16)->Args({64, 512});
+BENCHMARK(BM_ButterflyBatchF16)
+    ->Args({4, 256})
+    ->Args({30, 256})
+    ->Args({64, 512});
 
 static void
 BM_ButterflyLinearBatch(benchmark::State &state)
@@ -225,6 +235,40 @@ BM_ButterflyLinearBatch(benchmark::State &state)
         static_cast<double>(runtime::numThreads());
 }
 BENCHMARK(BM_ButterflyLinearBatch)->Arg(64);
+
+/**
+ * The served FFN butterfly linears per precision: 256 -> 1024 (four
+ * 256-point cores) and 1024 -> 256 (one 10-stage core, truncated), at
+ * one row, a decode step (4 rows) and a classify call (30 rows).
+ * kind: 0 = fp32, 1 = int8, 2 = fp16.
+ */
+static void
+BM_ButterflyLinearBatchServed(benchmark::State &state)
+{
+    const std::size_t rows = static_cast<std::size_t>(state.range(0));
+    const std::size_t in = static_cast<std::size_t>(state.range(1));
+    const std::size_t out = static_cast<std::size_t>(state.range(2));
+    const int kind = static_cast<int>(state.range(3));
+    ButterflyLinear lin(in, out);
+    Rng rng(1);
+    lin.initRandomRotation(rng);
+    std::unique_ptr<QuantizedButterflyLinear> qlin;
+    if (kind != 0)
+        qlin = std::make_unique<QuantizedButterflyLinear>(
+            lin, kind == 1 ? QuantKind::Int8 : QuantKind::Fp16);
+    Tensor x = rng.normalTensor({rows, in});
+    for (auto _ : state) {
+        Tensor y = qlin ? qlin->applyBatch(x) : lin.applyBatch(x);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetLabel(kind == 0 ? "fp32" : kind == 1 ? "int8" : "fp16");
+    state.counters["pool_threads"] =
+        static_cast<double>(runtime::numThreads());
+}
+BENCHMARK(BM_ButterflyLinearBatchServed)
+    ->ArgNames({"rows", "in", "out", "kind"})
+    ->ArgsProduct({{1, 4, 30}, {256}, {1024}, {0, 1, 2}})
+    ->ArgsProduct({{1, 4, 30}, {1024}, {256}, {0, 1, 2}});
 
 static void
 BM_AttentionForwardReference(benchmark::State &state)

@@ -23,7 +23,9 @@ namespace {
  * vector per op while still giving 4+ tasks at a 64-row batch. The
  * sweep itself lives in the runtime dispatch table (bfly_stage,
  * runtime/kernels_impl.h) so the vectorised body is compiled per ISA
- * level and selected at startup; kBflyBlockRows pins the same width.
+ * level and selected at startup. Every block is exactly
+ * kBflyBlockRows lanes wide: a tail of fewer rows is zero-padded by
+ * the load kernel, and the stages sweep all lanes at the one width.
  */
 constexpr std::size_t kBatchRows = runtime::kBflyBlockRows;
 
@@ -124,10 +126,11 @@ ButterflyMatrix::applyRows(const float *in, float *out,
                            std::size_t rows) const
 {
     // Stage-major over a transposed block: activations live as
-    // [n, nb] so pair (i1, i2) of every stage reads/writes contiguous
-    // nb-vectors with the four weights broadcast. Butterfly outputs
-    // have no accumulation chain (y = w0*x1 + w1*x2 is a single
-    // expression), so the reordering and vectorisation are bitwise
+    // [n, kBatchRows] so pair (i1, i2) of every stage reads/writes
+    // contiguous lane vectors with the four weights broadcast.
+    // Butterfly outputs have no accumulation chain (y = w0*x1 + w1*x2
+    // is a single expression) and lanes never interact, so the
+    // reordering, vectorisation and zero padding lanes are bitwise
     // identical to the scalar per-row apply().
     float *buf = runtime::threadWorkspace<MatrixWs>(kBatchRows * n_);
     const runtime::KernelTable &kt = runtime::kernels();
@@ -135,7 +138,8 @@ ButterflyMatrix::applyRows(const float *in, float *out,
         const std::size_t nb = std::min(kBatchRows, rows - r0);
         // Transposed load with contiguous stores (the strided side is
         // the cheaper gather-load side), via the dispatch table so it
-        // vectorises at the same ISA level as the stages.
+        // vectorises at the same ISA level as the stages; lanes nb..15
+        // are zero-filled.
         kt.bfly_transpose_in(in + r0 * n_, buf, n_, nb, n_);
         // Pair p = block*h + j touches i1 = block*2h + j; the sweep
         // walks (block, j) in order so the weight pointer advances
@@ -144,7 +148,7 @@ ButterflyMatrix::applyRows(const float *in, float *out,
         for (std::size_t s = 0; s < stages_; ++s) {
             const float *wp = &weights_[s * (n_ / 2) * 4];
             const std::size_t h = std::size_t{1} << s;
-            kt.bfly_stage(buf, wp, n_, h, nb);
+            kt.bfly_stage(buf, wp, n_, h);
         }
         kt.bfly_transpose_out(buf, out + r0 * n_, n_, nb, n_);
     }

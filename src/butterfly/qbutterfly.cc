@@ -13,13 +13,14 @@ namespace fabnet {
 namespace {
 
 /** Rows per stage-major block and parallel grain (see butterfly.cc).
- *  Pinned to the dispatch table's block width: the stage kernels
- *  specialise their vector fast path for exactly this many rows. */
+ *  The dispatch table's one block width: a tail of fewer rows is
+ *  zero-padded by the load kernels, never swept at a narrower width. */
 constexpr std::size_t kQBatchRows = runtime::kBflyBlockRows;
 
 /** Workspace tags; distinct element types get distinct storage. */
 struct QMatI8Ws;    ///< int8 activations
-struct QMatI32Ws;   ///< int32 stage outputs
+struct QMatI32Ws;   ///< int32 stage outputs (one row)
+struct QMatI16Ws;   ///< int16 stage outputs (stage-major block)
 struct QMatScaleWs; ///< per-row scales
 struct QMatF16Ws;   ///< fp16-representable float activations
 struct QLinWs;      ///< ButterflyLinear padding / core output floats
@@ -190,7 +191,7 @@ QuantizedButterflyMatrix::applyRows(const float *in, float *out,
     for (std::size_t r0 = 0; r0 < rows; r0 += kQBatchRows) {
         const std::size_t nb = std::min(kQBatchRows, rows - r0);
         if (kind_ == QuantKind::Fp16) {
-            // Transposed [n, nb] block, operands rounded on load; each
+            // Transposed [n, 16] block, operands rounded on load; each
             // pair op is the same f16PairOut expression as the scalar
             // path, so results match it bitwise. The stage sweep is the
             // ISA-dispatched qbfly_f16_stage kernel.
@@ -201,22 +202,23 @@ QuantizedButterflyMatrix::applyRows(const float *in, float *out,
             for (std::size_t s = 0; s < stages_; ++s) {
                 const float *wp = wh_.data() + s * (n_ / 2) * 4;
                 const std::size_t h = std::size_t{1} << s;
-                kt.qbfly_f16_stage(buf, wp, n_, h, nb);
+                kt.qbfly_f16_stage(buf, wp, n_, h);
             }
             kt.bfly_transpose_out(buf, out + r0 * n_, n_, nb, n_);
             continue;
         }
 
-        // int8: transposed int8 block + int32 stage buffer + per-row
+        // int8: transposed int8 block + int16 stage buffer + per-lane
         // scales. Integer stage ops are exact in any order; the float
         // quantise/requantise expressions run per row exactly as in
-        // int8StagesRow. The stage multiply and the requantisation are
-        // the ISA-dispatched qbfly_i8_stage / qbfly_i8_requant kernels.
+        // int8StagesRow, and padding lanes stay zero with scale 0. The
+        // stage multiply and the requantisation are the ISA-dispatched
+        // qbfly_i8_stage / qbfly_i8_requant kernels.
         std::int8_t *q = runtime::threadWorkspaceAs<QMatI8Ws,
                                                     std::int8_t>(
             n_ * kQBatchRows);
-        std::int32_t *y = runtime::threadWorkspaceAs<QMatI32Ws,
-                                                     std::int32_t>(
+        std::int16_t *y = runtime::threadWorkspaceAs<QMatI16Ws,
+                                                     std::int16_t>(
             n_ * kQBatchRows);
         float *scale = runtime::threadWorkspace<QMatScaleWs>(kQBatchRows);
 
@@ -225,8 +227,8 @@ QuantizedButterflyMatrix::applyRows(const float *in, float *out,
         for (std::size_t s = 0; s < stages_; ++s) {
             const std::int8_t *w = wq_.data() + s * (n_ / 2) * 4;
             const std::size_t h = std::size_t{1} << s;
-            kt.qbfly_i8_stage(q, y, w, n_, h, nb);
-            kt.qbfly_i8_requant(y, q, scale, wscale_[s], n_, nb);
+            kt.qbfly_i8_stage(q, y, w, n_, h);
+            kt.qbfly_i8_requant(y, q, scale, wscale_[s], n_);
         }
         kt.qbfly_i8_dequant_out(q, scale, out + r0 * n_, n_, nb, n_);
     }

@@ -26,10 +26,11 @@ struct BflyPackWs;
  * fp32 and quantized layers): gather the valid rows into a contiguous
  * buffer, run the stage-major kernel over full 16-row blocks, scatter
  * back. Spans of a ragged batch are at most one sequence long (4-32
- * rows on serving traffic), which fragments the kernel's 16-row
- * vector blocks into slow runtime-width tails; the O(rows*(in+out))
- * copies are cheap next to the O(rows*n*log n) butterfly arithmetic,
- * so packing benches faster than in-place spans here - the opposite
+ * rows on serving traffic); run in place, each span would end in its
+ * own zero-padded 16-lane block, paying for lanes that hold no row.
+ * The O(rows*(in+out)) copies are cheap next to the O(rows*n*log n)
+ * butterfly arithmetic, so packing (at most one padded block per
+ * kernel call) benches faster than in-place spans here - the opposite
  * trade from the GEMM layers, whose 4-row tiles barely fragment (see
  * docs/ARCHITECTURE.md "Ragged batch execution"). Bitwise identity is
  * unaffected: the kernel is row-independent, so block composition

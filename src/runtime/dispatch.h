@@ -94,67 +94,73 @@ struct KernelTable
     void (*float_to_half_bits_row)(const float *f, std::uint16_t *h,
                                    std::size_t n);
 
-    /**
-     * One fp32 butterfly stage (stride h) over a TRANSPOSED [n, nb]
-     * activation block, in place; nb <= 16 (the stage-major block
-     * width of butterfly.cc).
-     */
+    // Stage-major butterfly kernels. A block is a TRANSPOSED [n, 16]
+    // buffer (16 = kBflyBlockRows, one activation row per lane,
+    // element (i, r) at i*16 + r). Every block is exactly 16 lanes
+    // wide: the edge kernels below take the valid-row count nb (1..16)
+    // and the input ones zero-fill lanes nb..15, so the stage kernels
+    // take no row count and always sweep all 16 lanes.
+
+    /** One fp32 butterfly stage (stride h) over a block, in place. */
     void (*bfly_stage)(float *buf, const float *wp, std::size_t n,
-                       std::size_t h, std::size_t nb);
+                       std::size_t h);
 
     /** fp16 butterfly stage: same sweep with the f16PairOut rounding
      *  points (quantized butterfly, QuantKind::Fp16). */
     void (*qbfly_f16_stage)(float *buf, const float *wp, std::size_t n,
-                            std::size_t h, std::size_t nb);
+                            std::size_t h);
 
-    /** int8 butterfly stage multiply into int32: y = W_s q over the
-     *  transposed block (exact integer arithmetic). */
-    void (*qbfly_i8_stage)(const std::int8_t *q, std::int32_t *y,
+    /** int8 butterfly stage multiply: y = W_s q over the block. Exact
+     *  in int16: codes and weights lie in [-127, 127], so |y| <=
+     *  2*127^2 = 32258 < 2^15. */
+    void (*qbfly_i8_stage)(const std::int8_t *q, std::int16_t *y,
                            const std::int8_t *w, std::size_t n,
-                           std::size_t h, std::size_t nb);
+                           std::size_t h);
 
     /**
-     * int8 butterfly requantise: per-row (lane) max over the [n, nb]
-     * int32 block, rewrite q through requantInt8(127/m), and update
-     * scale[r] via int8StageScale with this stage's weight scale
-     * @p wscale_s; all-zero rows keep their scale and quantise to
-     * exact zeros.
+     * int8 butterfly requantise: per-lane max over the [n, 16] stage
+     * output block, rewrite q through requantInt8(127/m), and update
+     * scale[r] (16 entries) via int8StageScale with this stage's
+     * weight scale @p wscale_s; all-zero lanes keep their scale and
+     * quantise to exact zeros.
      */
-    void (*qbfly_i8_requant)(const std::int32_t *y, std::int8_t *q,
+    void (*qbfly_i8_requant)(const std::int16_t *y, std::int8_t *q,
                              float *scale, float wscale_s,
-                             std::size_t n, std::size_t nb);
+                             std::size_t n);
 
-    // Block load/store transposes of the stage-major butterfly paths.
+    // Block edge kernels: load nb row-major rows (row stride @p
+    // stride) into a block or store a block's first nb lanes back.
     // Pure data movement (plus the pinned per-element rounding /
     // quantisation expressions where noted), dispatched because the
     // strided sweeps vectorise only with the variant's -m flags and
     // would otherwise dominate the batched butterfly at fp32 speeds.
 
-    /** buf[i*nb + r] = src[r*stride + i] (transposed block load). */
+    /** buf[i*16 + r] = src[r*stride + i] for r < nb, 0 for r >= nb. */
     void (*bfly_transpose_in)(const float *src, float *buf,
                               std::size_t n, std::size_t nb,
                               std::size_t stride);
 
-    /** dst[r*stride + i] = buf[i*nb + r] (transposed block store). */
+    /** dst[r*stride + i] = buf[i*16 + r] for r < nb. */
     void (*bfly_transpose_out)(const float *buf, float *dst,
                                std::size_t n, std::size_t nb,
                                std::size_t stride);
 
-    /** Transposed block load with operands rounded through binary16
-     *  on the way in (quantized butterfly, QuantKind::Fp16). */
+    /** bfly_transpose_in with operands rounded through binary16 on
+     *  the way in (quantized butterfly, QuantKind::Fp16). */
     void (*qbfly_f16_transpose_in)(const float *src, float *buf,
                                    std::size_t n, std::size_t nb,
                                    std::size_t stride);
 
-    /** Per-row int8 quantisation into a transposed block: scale[r]
-     *  from int8Scale(max|row|), all-zero rows get scale 0 and exact
-     *  zero codes (the pinned int8StagesRow load semantics). */
+    /** Per-row int8 quantisation into a block: scale[r] from
+     *  int8Scale(max|row|); all-zero rows and the padding lanes
+     *  r >= nb get scale 0 and exact zero codes (the pinned
+     *  int8StagesRow load semantics). @p scale holds 16 entries. */
     void (*qbfly_i8_quant_in)(const float *src, std::int8_t *q,
                               float *scale, std::size_t n,
                               std::size_t nb, std::size_t stride);
 
-    /** dst[r*stride + i] = float(q[i*nb + r]) * scale[r] (dequantised
-     *  transposed block store). */
+    /** dst[r*stride + i] = float(q[i*16 + r]) * scale[r] for r < nb
+     *  (dequantised block store; reads all 16 entries of @p scale). */
     void (*qbfly_i8_dequant_out)(const std::int8_t *q,
                                  const float *scale, float *dst,
                                  std::size_t n, std::size_t nb,

@@ -46,9 +46,9 @@ constexpr std::size_t kGemmTileM = 4;
 
 /** Stage-major block width of the batched butterfly paths: callers
  *  (butterfly.cc, qbutterfly.cc) lay activations out as transposed
- *  [n, block] blocks of this many rows, and the dispatch-table stage
- *  sweeps specialise their fast path for exactly this width (one
- *  AVX-512 vector per pair op). */
+ *  [n, block] blocks of exactly this many lanes, zero-padded past the
+ *  valid rows, and the dispatch-table stage sweeps run at this one
+ *  width (one AVX-512 vector per pair op). */
 constexpr std::size_t kBflyBlockRows = 16;
 
 // ------------------------------------------------------------- int8

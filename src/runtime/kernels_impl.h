@@ -27,7 +27,8 @@
  * - int8 GEMM: int32 accumulation is exact; scalar, vpmaddwd and
  *   vpdpwssd tiles compute identical integers.
  * - butterfly stages: y = w0*x1 + w1*x2 is a single madd expression
- *   per output (no chain), so lane order never matters.
+ *   per output (no chain), so lane order never matters. The int8
+ *   stage is exact even in int16 lanes: |w0*x1 + w1*x2| <= 2*127^2.
  * - reductions (maxAbsRow, per-row requant max): max is commutative
  *   and associative on the non-NaN data the kernels see.
  * - binary16 rounding: hardware vcvtps2ph (RNE) is bit-identical to
@@ -397,19 +398,47 @@ maxAbsRow(const float *x, std::size_t n)
 }
 
 #if FABNET_KV_AVX512
-/** 16-lane quantizeInt8 (same product rounding, RNE conversion and
- *  [-127, 127] clamp as the scalar helper - vpmovsdb alone would
- *  saturate to -128, so the clamp is explicit). */
+/** The tail of quantizeInt8 over 16 lanes of products @p p: RNE
+ *  conversion (lrintf's rounding) and the [-127, 127] clamp, stored
+ *  as int8 codes (vpmovsdb alone would saturate to -128, so the clamp
+ *  is explicit). */
 inline void
-quantizeInt8Lanes(const float *x, std::int8_t *q, __m512 vinv)
+storeInt8Lanes(std::int8_t *q, __m512 p)
 {
     const __m512i lo = _mm512_set1_epi32(-kInt8Max);
     const __m512i hi = _mm512_set1_epi32(kInt8Max);
-    __m512i r =
-        _mm512_cvtps_epi32(_mm512_mul_ps(_mm512_loadu_ps(x), vinv));
+    __m512i r = _mm512_cvtps_epi32(p);
     r = _mm512_min_epi32(_mm512_max_epi32(r, lo), hi);
     _mm_storeu_si128(reinterpret_cast<__m128i *>(q),
                      _mm512_cvtsepi32_epi8(r));
+}
+
+/** 16-lane quantizeInt8 (same product rounding, RNE conversion and
+ *  clamp as the scalar helper). */
+inline void
+quantizeInt8Lanes(const float *x, std::int8_t *q, __m512 vinv)
+{
+    storeInt8Lanes(q, _mm512_mul_ps(_mm512_loadu_ps(x), vinv));
+}
+#elif FABNET_KV_AVX2
+/** storeInt8Lanes on two 8-lane halves (lanes 0-7 in @p p0, 8-15 in
+ *  @p p1): RNE conversion, clamp, then in-order narrowing (the packs
+ *  never saturate after the clamp). */
+inline void
+storeInt8Lanes(std::int8_t *q, __m256 p0, __m256 p1)
+{
+    const __m256i lo = _mm256_set1_epi32(-kInt8Max);
+    const __m256i hi = _mm256_set1_epi32(kInt8Max);
+    const __m256i r0 =
+        _mm256_min_epi32(_mm256_max_epi32(_mm256_cvtps_epi32(p0), lo), hi);
+    const __m256i r1 =
+        _mm256_min_epi32(_mm256_max_epi32(_mm256_cvtps_epi32(p1), lo), hi);
+    // packs_epi32 interleaves 128-bit halves; 0xD8 restores lane order.
+    const __m256i w16 =
+        _mm256_permute4x64_epi64(_mm256_packs_epi32(r0, r1), 0xD8);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(q),
+                     _mm_packs_epi16(_mm256_castsi256_si128(w16),
+                                     _mm256_extracti128_si256(w16, 1)));
 }
 #endif
 
@@ -504,62 +533,41 @@ floatToHalfBitsRowV(const float *f, std::uint16_t *h, std::size_t n)
 }
 
 // ------------------------------------------------- butterfly stages
-// (block width runtime::kBflyBlockRows, pinned in kernels_common.h)
+// Every stage-major block is exactly kLanes = runtime::kBflyBlockRows
+// (16) lanes wide, one activation row per lane. The edge kernels take
+// the valid-row count nb, touch only those rows and zero-fill lanes
+// nb..15 on the way in; the stage kernels never see a row count, so
+// every loop in them has a compile-time width. Lanes never interact
+// and a zero lane stays zero (fp32/fp16: w*0 + w'*0 is +-0; int8: a
+// zero-max lane keeps scale 0 and zero codes), so each valid lane of
+// a padded tail block runs exactly the expression chain of a full one.
+
+constexpr std::size_t kLanes = kBflyBlockRows;
 
 /**
- * One butterfly stage over a transposed [n, NB] block, in place: pair
- * (i1, i2) only reads its own two lanes, so the update needs no
- * second buffer. NB is a compile-time width so the lane loop unrolls
- * to straight-line vector code.
+ * One fp32 butterfly stage over a transposed [n, 16] block, in place:
+ * pair (i1, i2) only reads its own two lanes, so the update needs no
+ * second buffer.
  */
-template <std::size_t NB>
-inline void
-bflyStageFixed(float *buf, const float *wp, std::size_t n,
-               std::size_t h)
+void
+bflyStage(float *buf, const float *wp, std::size_t n, std::size_t h)
 {
     for (std::size_t base = 0; base < n; base += 2 * h) {
         for (std::size_t j = 0; j < h; ++j, wp += 4) {
             const float w0 = wp[0], w1 = wp[1], w2 = wp[2], w3 = wp[3];
-            float *x1 = buf + (base + j) * NB;
-            float *x2 = x1 + h * NB;
+            float *x1 = buf + (base + j) * kLanes;
+            float *x2 = x1 + h * kLanes;
             // Stage through non-escaping locals: frees the compiler
             // from the (unprovable) x1/x2 overlap question, so all
             // four loops vectorise cleanly.
-            float a[NB], bv[NB];
-            for (std::size_t r = 0; r < NB; ++r) {
+            float a[kLanes], bv[kLanes];
+            for (std::size_t r = 0; r < kLanes; ++r) {
                 a[r] = x1[r];
                 bv[r] = x2[r];
             }
-            for (std::size_t r = 0; r < NB; ++r)
+            for (std::size_t r = 0; r < kLanes; ++r)
                 x1[r] = madd(w0, a[r], w1 * bv[r]);
-            for (std::size_t r = 0; r < NB; ++r)
-                x2[r] = madd(w2, a[r], w3 * bv[r]);
-        }
-    }
-}
-
-void
-bflyStage(float *buf, const float *wp, std::size_t n, std::size_t h,
-          std::size_t nb)
-{
-    if (nb == kBflyBlockRows) {
-        bflyStageFixed<kBflyBlockRows>(buf, wp, n, h);
-        return;
-    }
-    // Runtime-width tail block (rows % kBflyBlockRows).
-    float a[kBflyBlockRows], bv[kBflyBlockRows];
-    for (std::size_t base = 0; base < n; base += 2 * h) {
-        for (std::size_t j = 0; j < h; ++j, wp += 4) {
-            const float w0 = wp[0], w1 = wp[1], w2 = wp[2], w3 = wp[3];
-            float *x1 = buf + (base + j) * nb;
-            float *x2 = x1 + h * nb;
-            for (std::size_t r = 0; r < nb; ++r) {
-                a[r] = x1[r];
-                bv[r] = x2[r];
-            }
-            for (std::size_t r = 0; r < nb; ++r)
-                x1[r] = madd(w0, a[r], w1 * bv[r]);
-            for (std::size_t r = 0; r < nb; ++r)
+            for (std::size_t r = 0; r < kLanes; ++r)
                 x2[r] = madd(w2, a[r], w3 * bv[r]);
         }
     }
@@ -588,218 +596,403 @@ f16PairSweepLanes16(float *x1, float *x2, float w0, float w1, float w2,
     _mm512_storeu_ps(x1, _mm512_cvtph_ps(_mm512_cvtps_ph(y1, rne)));
     _mm512_storeu_ps(x2, _mm512_cvtph_ps(_mm512_cvtps_ph(y2, rne)));
 }
+#elif FABNET_KV_F16C
+/** 8-lane form of f16PairSweepLanes16 (F16C without AVX-512). */
+inline void
+f16PairSweepLanes8(float *x1, float *x2, float w0, float w1, float w2,
+                   float w3)
+{
+    const __m256 a = _mm256_loadu_ps(x1);
+    const __m256 b = _mm256_loadu_ps(x2);
+    const __m256 y1 =
+        _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(w0), a),
+                      _mm256_mul_ps(_mm256_set1_ps(w1), b));
+    const __m256 y2 =
+        _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(w2), a),
+                      _mm256_mul_ps(_mm256_set1_ps(w3), b));
+    constexpr int rne = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+    _mm256_storeu_ps(x1, _mm256_cvtph_ps(_mm256_cvtps_ph(y1, rne)));
+    _mm256_storeu_ps(x2, _mm256_cvtph_ps(_mm256_cvtps_ph(y2, rne)));
+}
 #endif
 
+/** f16PairOut, skipping the software binary16 round of a zero sum
+ *  (padding lanes): roundToHalf(+-0) is +-0, so the bits match. */
+inline float
+f16PairOutLane(float w0, float x1, float w1, float x2)
+{
+    const float y = madd(w0, x1, w1 * x2);
+    return y == 0.0f ? y : roundToHalf(y);
+}
+
 void
-qbflyF16Stage(float *buf, const float *wp, std::size_t n, std::size_t h,
-              std::size_t nb)
+qbflyF16Stage(float *buf, const float *wp, std::size_t n, std::size_t h)
 {
     for (std::size_t base = 0; base < n; base += 2 * h) {
         for (std::size_t j = 0; j < h; ++j, wp += 4) {
-            float *x1 = buf + (base + j) * nb;
-            float *x2 = x1 + h * nb;
+            float *x1 = buf + (base + j) * kLanes;
+            float *x2 = x1 + h * kLanes;
             const float w0 = wp[0], w1 = wp[1];
             const float w2 = wp[2], w3 = wp[3];
 #if FABNET_KV_AVX512
-            if (nb == kBflyBlockRows) {
-                f16PairSweepLanes16(x1, x2, w0, w1, w2, w3);
-                continue;
+            f16PairSweepLanes16(x1, x2, w0, w1, w2, w3);
+#elif FABNET_KV_F16C
+            f16PairSweepLanes8(x1, x2, w0, w1, w2, w3);
+            f16PairSweepLanes8(x1 + 8, x2 + 8, w0, w1, w2, w3);
+#else
+            for (std::size_t r = 0; r < kLanes; ++r) {
+                const float a = x1[r], b = x2[r];
+                x1[r] = f16PairOutLane(w0, a, w1, b);
+                x2[r] = f16PairOutLane(w2, a, w3, b);
             }
 #endif
-            for (std::size_t r = 0; r < nb; ++r) {
-                const float a = x1[r], b = x2[r];
-                x1[r] = f16PairOut(w0, a, w1, b);
-                x2[r] = f16PairOut(w2, a, w3, b);
-            }
         }
     }
 }
 
 void
-qbflyI8Stage(const std::int8_t *q, std::int32_t *y, const std::int8_t *w,
-             std::size_t n, std::size_t h, std::size_t nb)
+qbflyI8Stage(const std::int8_t *q, std::int16_t *y, const std::int8_t *w,
+             std::size_t n, std::size_t h)
 {
+    // Codes and weights lie in [-127, 127], so every output obeys
+    // |w*a + w'*b| <= 2*127^2 = 32258 < 2^15: the pair op is exact in
+    // int16 lanes, products and sum alike.
     for (std::size_t base = 0; base < n; base += 2 * h) {
         for (std::size_t j = 0; j < h; ++j, w += 4) {
-            const std::int8_t *x1 = q + (base + j) * nb;
-            const std::int8_t *x2 = x1 + h * nb;
-            std::int32_t *y1 = y + (base + j) * nb;
-            std::int32_t *y2 = y1 + h * nb;
-            const std::int32_t w0 = w[0], w1 = w[1];
-            const std::int32_t w2 = w[2], w3 = w[3];
-            for (std::size_t r = 0; r < nb; ++r) {
-                const std::int32_t a = x1[r], b = x2[r];
-                y1[r] = w0 * a + w1 * b;
-                y2[r] = w2 * a + w3 * b;
+            const std::int8_t *x1 = q + (base + j) * kLanes;
+            const std::int8_t *x2 = x1 + h * kLanes;
+            std::int16_t *y1 = y + (base + j) * kLanes;
+            std::int16_t *y2 = y1 + h * kLanes;
+#if FABNET_KV_AVX2
+            const __m256i a = _mm256_cvtepi8_epi16(
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(x1)));
+            const __m256i b = _mm256_cvtepi8_epi16(
+                _mm_loadu_si128(reinterpret_cast<const __m128i *>(x2)));
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(y1),
+                _mm256_add_epi16(
+                    _mm256_mullo_epi16(_mm256_set1_epi16(w[0]), a),
+                    _mm256_mullo_epi16(_mm256_set1_epi16(w[1]), b)));
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(y2),
+                _mm256_add_epi16(
+                    _mm256_mullo_epi16(_mm256_set1_epi16(w[2]), a),
+                    _mm256_mullo_epi16(_mm256_set1_epi16(w[3]), b)));
+#else
+            // int16 operands, so the lane loop vectorises as 16-bit
+            // multiplies even at the baseline ISA.
+            const std::int16_t w0 = w[0], w1 = w[1];
+            const std::int16_t w2 = w[2], w3 = w[3];
+            for (std::size_t r = 0; r < kLanes; ++r) {
+                const std::int16_t a = x1[r], b = x2[r];
+                y1[r] = static_cast<std::int16_t>(w0 * a + w1 * b);
+                y2[r] = static_cast<std::int16_t>(w2 * a + w3 * b);
             }
+#endif
         }
     }
 }
 
 void
-qbflyI8Requant(const std::int32_t *y, std::int8_t *q, float *scale,
-               float wscale_s, std::size_t n, std::size_t nb)
+qbflyI8Requant(const std::int16_t *y, std::int8_t *q, float *scale,
+               float wscale_s, std::size_t n)
 {
-#if FABNET_KV_AVX512
-    if (nb == kBflyBlockRows) {
-        // Lane-parallel requantisation: the per-row max and the
-        // round/clamp run vertically over contiguous 16-lane vectors.
-        // Same product rounding, RNE conversion and clamp as
-        // requantInt8; a zero-max lane gets factor 0.0, which maps
-        // its (all-zero) int32s to exact zeros like the scalar path.
-        __m512i vm = _mm512_setzero_si512();
-        for (std::size_t i = 0; i < n; ++i)
-            vm = _mm512_max_epi32(
-                vm, _mm512_abs_epi32(_mm512_loadu_si512(y + i * nb)));
-        alignas(64) std::int32_t m[kBflyBlockRows];
-        alignas(64) float f[kBflyBlockRows];
-        _mm512_store_si512(m, vm);
-        for (std::size_t r = 0; r < nb; ++r)
-            f[r] = m[r] != 0 ? static_cast<float>(kInt8Max) /
-                                   static_cast<float>(m[r])
-                             : 0.0f;
-        const __m512 vf = _mm512_load_ps(f);
-        const __m512i lo = _mm512_set1_epi32(-kInt8Max);
-        const __m512i hi = _mm512_set1_epi32(kInt8Max);
-        for (std::size_t i = 0; i < n; ++i) {
-            const __m512 p = _mm512_mul_ps(
-                _mm512_cvtepi32_ps(_mm512_loadu_si512(y + i * nb)),
-                vf);
-            __m512i r32 = _mm512_cvtps_epi32(p);
-            r32 = _mm512_min_epi32(_mm512_max_epi32(r32, lo), hi);
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(q + i * nb),
-                             _mm512_cvtsepi32_epi8(r32));
+    // Lane-parallel requantisation: the per-row max and the
+    // round/clamp run vertically over the block. A zero-max lane gets
+    // factor 0.0, which maps its (all-zero) outputs to exact zeros and
+    // leaves its scale alone, exactly like int8StagesRow.
+    alignas(64) std::int32_t m[kLanes] = {};
+    alignas(64) float f[kLanes] = {};
+#if FABNET_KV_AVX2
+    // |y| <= 32258, so the int16 abs cannot overflow.
+    __m256i vm = _mm256_setzero_si256();
+    for (std::size_t i = 0; i < n; ++i)
+        vm = _mm256_max_epi16(
+            vm, _mm256_abs_epi16(_mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(y + i * kLanes))));
+    alignas(32) std::int16_t m16[kLanes] = {};
+    _mm256_store_si256(reinterpret_cast<__m256i *>(m16), vm);
+    for (std::size_t r = 0; r < kLanes; ++r)
+        m[r] = m16[r];
+#else
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t r = 0; r < kLanes; ++r) {
+            const std::int32_t v = y[i * kLanes + r];
+            const std::int32_t a = v < 0 ? -v : v;
+            m[r] = a > m[r] ? a : m[r];
         }
-        for (std::size_t r = 0; r < nb; ++r)
-            if (m[r] != 0)
-                scale[r] = int8StageScale(scale[r], wscale_s, m[r]);
-        return;
     }
 #endif
-    for (std::size_t r = 0; r < nb; ++r) {
-        std::int32_t m = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::int32_t v = y[i * nb + r];
-            const std::int32_t a = v < 0 ? -v : v;
-            if (a > m)
-                m = a;
-        }
-        if (m == 0) {
-            for (std::size_t i = 0; i < n; ++i)
-                q[i * nb + r] = 0;
-            continue;
-        }
-        const float f = static_cast<float>(kInt8Max) /
-                        static_cast<float>(m);
-        for (std::size_t i = 0; i < n; ++i)
-            q[i * nb + r] = requantInt8(y[i * nb + r], f);
-        scale[r] = int8StageScale(scale[r], wscale_s, m);
+    for (std::size_t r = 0; r < kLanes; ++r)
+        f[r] = m[r] != 0 ? static_cast<float>(kInt8Max) /
+                               static_cast<float>(m[r])
+                         : 0.0f;
+    // requantInt8 per element: the exact float of y times f, then
+    // storeInt8Lanes' RNE conversion and clamp.
+#if FABNET_KV_AVX512
+    const __m512 vf = _mm512_load_ps(f);
+    for (std::size_t i = 0; i < n; ++i)
+        storeInt8Lanes(
+            q + i * kLanes,
+            _mm512_mul_ps(
+                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(
+                    _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
+                        y + i * kLanes)))),
+                vf));
+#elif FABNET_KV_AVX2
+    const __m256 vf0 = _mm256_load_ps(f);
+    const __m256 vf1 = _mm256_load_ps(f + 8);
+    for (std::size_t i = 0; i < n; ++i) {
+        const __m256i v = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(y + i * kLanes));
+        storeInt8Lanes(
+            q + i * kLanes,
+            _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
+                              _mm256_castsi256_si128(v))),
+                          vf0),
+            _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(
+                              _mm256_extracti128_si256(v, 1))),
+                          vf1));
+    }
+#else
+    // A zero-max lane's outputs are all zero: skip its lrintf calls.
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t r = 0; r < kLanes; ++r)
+            q[i * kLanes + r] =
+                m[r] != 0 ? requantInt8(y[i * kLanes + r], f[r]) : 0;
+#endif
+    for (std::size_t r = 0; r < kLanes; ++r)
+        if (m[r] != 0)
+            scale[r] = int8StageScale(scale[r], wscale_s, m[r]);
+}
+
+// ------------------------------------------- block edge kernels
+// Data movement between nb row-major rows and one stage-major block
+// (plus the pinned per-element rounding / quantisation expressions
+// where noted). In the table (rather than at the call sites) because
+// the sweeps only vectorise with the variant's flags, and at fp32
+// butterfly speeds an unvectorised transpose costs more than the
+// stages themselves.
+
+#if FABNET_KV_AVX2
+/** In-register transpose of an 8x8 float tile: on return r[k] holds
+ *  what was column k. */
+inline void
+transpose8x8(__m256 r[8])
+{
+    __m256 t[8], s[8];
+    for (int k = 0; k < 8; k += 2) {
+        t[k] = _mm256_unpacklo_ps(r[k], r[k + 1]);
+        t[k + 1] = _mm256_unpackhi_ps(r[k], r[k + 1]);
+    }
+    for (int k = 0; k < 8; k += 4) {
+        s[k] = _mm256_shuffle_ps(t[k], t[k + 2], _MM_SHUFFLE(1, 0, 1, 0));
+        s[k + 1] =
+            _mm256_shuffle_ps(t[k], t[k + 2], _MM_SHUFFLE(3, 2, 3, 2));
+        s[k + 2] =
+            _mm256_shuffle_ps(t[k + 1], t[k + 3], _MM_SHUFFLE(1, 0, 1, 0));
+        s[k + 3] =
+            _mm256_shuffle_ps(t[k + 1], t[k + 3], _MM_SHUFFLE(3, 2, 3, 2));
+    }
+    for (int k = 0; k < 4; ++k) {
+        r[k] = _mm256_permute2f128_ps(s[k], s[k + 4], 0x20);
+        r[k + 4] = _mm256_permute2f128_ps(s[k], s[k + 4], 0x31);
     }
 }
 
-// ------------------------------------------- block transposes
-// Pure data movement between row-major rows and the stage-major
-// [n, nb] blocks. In the table (rather than at the call sites)
-// because the sweeps only vectorise with the variant's flags, and at
-// fp32 butterfly speeds an unvectorised transpose costs more than the
-// stages themselves.
+/**
+ * The 8x8-tiled transposed block load shared by the fp32 and fp16
+ * block loads: op maps each loaded source-row vector (identity, or
+ * the binary16 round); padding rows load as zeros. Lane groups are
+ * outermost (see storeBlockTiles). Returns the first block row it did
+ * not cover.
+ */
+template <class Op>
+inline std::size_t
+loadBlockTiles(const float *src, float *buf, std::size_t n,
+               std::size_t nb, std::size_t stride, const Op &op)
+{
+    const std::size_t n8 = n - n % 8;
+    for (std::size_t r0 = 0; r0 < kLanes; r0 += 8) {
+        for (std::size_t i = 0; i < n8; i += 8) {
+            __m256 t[8];
+            for (std::size_t k = 0; k < 8; ++k)
+                t[k] = r0 + k < nb
+                           ? op(_mm256_loadu_ps(src + (r0 + k) * stride + i))
+                           : _mm256_setzero_ps();
+            transpose8x8(t);
+            for (std::size_t k = 0; k < 8; ++k)
+                _mm256_storeu_ps(buf + (i + k) * kLanes + r0, t[k]);
+        }
+    }
+    return n8;
+}
+#endif
 
 void
 bflyTransposeIn(const float *src, float *buf, std::size_t n,
                 std::size_t nb, std::size_t stride)
 {
-    if (nb == kBflyBlockRows) {
-        for (std::size_t i = 0; i < n; ++i) {
-            const float *s = src + i;
-            float *dst = buf + i * kBflyBlockRows;
-            for (std::size_t r = 0; r < kBflyBlockRows; ++r)
-                dst[r] = s[r * stride];
-        }
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const float *s = src + i;
-        float *dst = buf + i * nb;
-        for (std::size_t r = 0; r < nb; ++r)
-            dst[r] = s[r * stride];
-    }
+    std::size_t i = 0;
+#if FABNET_KV_AVX2
+    i = loadBlockTiles(src, buf, n, nb, stride, [](__m256 v) { return v; });
+#endif
+    for (; i < n; ++i)
+        for (std::size_t r = 0; r < kLanes; ++r)
+            buf[i * kLanes + r] = r < nb ? src[r * stride + i] : 0.0f;
 }
+
+#if FABNET_KV_AVX2
+/**
+ * The 8x8-tiled transposed block store shared by the fp32 and int8
+ * block stores: load8(i, r0) returns lanes r0..r0+7 of block row i as
+ * floats; each tile is transposed in registers and its rows below nb
+ * stored. Returns the first block row it did not cover.
+ */
+template <class Load8>
+inline std::size_t
+storeBlockTiles(float *dst, std::size_t n, std::size_t nb,
+                std::size_t stride, const Load8 &load8)
+{
+    // Lane groups outermost: at most 8 destination rows are live at a
+    // time, so rows 4 KiB apart (a 1024-point core) do not evict each
+    // other's lines from one L1 set before they are complete.
+    const std::size_t n8 = n - n % 8;
+    for (std::size_t r0 = 0; r0 < nb; r0 += 8) {
+        for (std::size_t i = 0; i < n8; i += 8) {
+            __m256 t[8];
+            for (std::size_t k = 0; k < 8; ++k)
+                t[k] = load8(i + k, r0);
+            transpose8x8(t);
+            for (std::size_t k = 0; k < 8 && r0 + k < nb; ++k)
+                _mm256_storeu_ps(dst + (r0 + k) * stride + i, t[k]);
+        }
+    }
+    return n8;
+}
+#endif
 
 void
 bflyTransposeOut(const float *buf, float *dst, std::size_t n,
                  std::size_t nb, std::size_t stride)
 {
-    for (std::size_t r = 0; r < nb; ++r) {
-        const float *s = buf + r;
-        float *d = dst + r * stride;
-        if (nb == kBflyBlockRows) {
-            for (std::size_t i = 0; i < n; ++i)
-                d[i] = s[i * kBflyBlockRows];
-        } else {
-            for (std::size_t i = 0; i < n; ++i)
-                d[i] = s[i * nb];
-        }
-    }
+    std::size_t i = 0;
+#if FABNET_KV_AVX2
+    i = storeBlockTiles(dst, n, nb, stride,
+                        [&](std::size_t row, std::size_t r0) {
+                            return _mm256_loadu_ps(buf + row * kLanes + r0);
+                        });
+#endif
+    for (; i < n; ++i)
+        for (std::size_t r = 0; r < nb; ++r)
+            dst[r * stride + i] = buf[i * kLanes + r];
 }
 
 void
 qbflyF16TransposeIn(const float *src, float *buf, std::size_t n,
                     std::size_t nb, std::size_t stride)
 {
-    // Row-at-a-time so the binary16 rounding (the expensive part)
-    // runs over contiguous loads; the transposed stores are scalar.
-    // The F16C path is the same RNE round as roundToHalf (pinned by
-    // tests/quantize_golden_test.cpp).
-    for (std::size_t r = 0; r < nb; ++r) {
-        const float *row = src + r * stride;
-        std::size_t i = 0;
-#if FABNET_KV_F16C
-        alignas(32) float tmp[8];
-        for (; i + 8 <= n; i += 8) {
-            _mm256_store_ps(
-                tmp, _mm256_cvtph_ps(_mm256_cvtps_ph(
-                         _mm256_loadu_ps(row + i),
-                         _MM_FROUND_TO_NEAREST_INT |
-                             _MM_FROUND_NO_EXC)));
-            for (std::size_t t = 0; t < 8; ++t)
-                buf[(i + t) * nb + r] = tmp[t];
-        }
+    // Every operand through the pinned binary16 round (F16C when the
+    // variant has it - the same RNE round as roundToHalf, pinned by
+    // tests/quantize_golden_test.cpp); padding lanes are +0.0.
+    std::size_t i = 0;
+#if FABNET_KV_AVX2 && FABNET_KV_F16C
+    i = loadBlockTiles(src, buf, n, nb, stride, [](__m256 v) {
+        return _mm256_cvtph_ps(_mm256_cvtps_ph(
+            v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+    });
 #endif
-        for (; i < n; ++i)
-            buf[i * nb + r] = roundToHalf(row[i]);
-    }
+    for (; i < n; ++i)
+        for (std::size_t r = 0; r < kLanes; ++r)
+            buf[i * kLanes + r] =
+                r < nb ? roundToHalf(src[r * stride + i]) : 0.0f;
 }
+
+/** Workspace tag of qbflyI8QuantIn's transposed float block. */
+struct QuantInWs;
 
 void
 qbflyI8QuantIn(const float *src, std::int8_t *q, float *scale,
                std::size_t n, std::size_t nb, std::size_t stride)
 {
-    for (std::size_t r = 0; r < nb; ++r) {
-        const float *row = src + r * stride;
-        const float m = maxAbsRow(row, n);
-        if (m == 0.0f) {
-            scale[r] = 0.0f; // dequantises to exact zeros on the way out
-            for (std::size_t i = 0; i < n; ++i)
-                q[i * nb + r] = 0;
-            continue;
-        }
-        scale[r] = int8Scale(m);
-        const float inv = 1.0f / scale[r];
-        for (std::size_t i = 0; i < n; ++i)
-            q[i * nb + r] = quantizeInt8(row[i], inv);
+    // Lane-parallel: transpose the rows into a float block first
+    // (padding lanes zero), so the per-row max and the quantisation
+    // run vertically over contiguous 16-lane vectors. Max is exact in
+    // any order; each element then takes the pinned quantizeInt8 of
+    // the row's 1/int8Scale(max) - the int8StagesRow load semantics.
+    float *t = threadWorkspace<QuantInWs>(n * kLanes);
+    bflyTransposeIn(src, t, n, nb, stride);
+    alignas(64) float m[kLanes] = {};
+    alignas(64) float inv[kLanes] = {};
+#if FABNET_KV_AVX2
+    const __m256 absmask =
+        _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+    __m256 vm0 = _mm256_setzero_ps(), vm1 = _mm256_setzero_ps();
+    for (std::size_t i = 0; i < n; ++i) {
+        vm0 = _mm256_max_ps(
+            vm0, _mm256_and_ps(_mm256_loadu_ps(t + i * kLanes), absmask));
+        vm1 = _mm256_max_ps(vm1, _mm256_and_ps(
+                                     _mm256_loadu_ps(t + i * kLanes + 8),
+                                     absmask));
     }
+    _mm256_store_ps(m, vm0);
+    _mm256_store_ps(m + 8, vm1);
+#else
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t r = 0; r < kLanes; ++r)
+            m[r] = std::max(m[r], std::fabs(t[i * kLanes + r]));
+#endif
+    for (std::size_t r = 0; r < kLanes; ++r) {
+        // An all-zero row gets scale 0 (it dequantises to exact zeros
+        // on the way out) and inverse 0 (its +-0 inputs map to zero
+        // codes).
+        scale[r] = m[r] != 0.0f ? int8Scale(m[r]) : 0.0f;
+        inv[r] = m[r] != 0.0f ? 1.0f / scale[r] : 0.0f;
+    }
+#if FABNET_KV_AVX512
+    const __m512 vinv = _mm512_load_ps(inv);
+    for (std::size_t i = 0; i < n; ++i)
+        quantizeInt8Lanes(t + i * kLanes, q + i * kLanes, vinv);
+#elif FABNET_KV_AVX2
+    const __m256 vinv0 = _mm256_load_ps(inv);
+    const __m256 vinv1 = _mm256_load_ps(inv + 8);
+    for (std::size_t i = 0; i < n; ++i)
+        storeInt8Lanes(
+            q + i * kLanes,
+            _mm256_mul_ps(_mm256_loadu_ps(t + i * kLanes), vinv0),
+            _mm256_mul_ps(_mm256_loadu_ps(t + i * kLanes + 8), vinv1));
+#else
+    // An all-zero lane's codes are zero: skip its lrintf calls.
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t r = 0; r < kLanes; ++r)
+            q[i * kLanes + r] =
+                m[r] != 0.0f ? quantizeInt8(t[i * kLanes + r], inv[r])
+                             : 0;
+#endif
 }
 
 void
 qbflyI8DequantOut(const std::int8_t *q, const float *scale, float *dst,
                   std::size_t n, std::size_t nb, std::size_t stride)
 {
-    for (std::size_t r = 0; r < nb; ++r) {
-        const float s = scale[r];
-        float *d = dst + r * stride;
-        for (std::size_t i = 0; i < n; ++i)
-            d[i] = static_cast<float>(q[i * nb + r]) * s;
-    }
+    std::size_t i = 0;
+#if FABNET_KV_AVX2
+    // Dequantise inside the tiled store: codes widen to float and
+    // take their lane's scale on the way into the register tile.
+    const __m256 vs[2] = {_mm256_loadu_ps(scale),
+                          _mm256_loadu_ps(scale + 8)};
+    i = storeBlockTiles(
+        dst, n, nb, stride, [&](std::size_t row, std::size_t r0) {
+            const __m128i c = _mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(q + row * kLanes + r0));
+            return _mm256_mul_ps(
+                _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(c)), vs[r0 / 8]);
+        });
+#endif
+    for (; i < n; ++i)
+        for (std::size_t r = 0; r < nb; ++r)
+            dst[r * stride + i] =
+                static_cast<float>(q[i * kLanes + r]) * scale[r];
 }
 
 } // namespace FABNET_KV_NS

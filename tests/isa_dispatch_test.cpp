@@ -8,14 +8,18 @@
  *     scalar table (== ops::reference, pinned by the existing parity
  *     suites) for every kernel family it exports: fp32 GEMM across
  *     the whole micro-kernel menu, the int8 GEMM panel, the row
- *     reductions/conversions, and the fp32/fp16/int8 butterfly stage
- *     sweeps - at thread counts {1, 4, 8} where threading applies.
+ *     reductions/conversions, the fp32/fp16/int8 butterfly stage
+ *     sweeps at the one 16-lane block width (int8 up to its int16
+ *     bound) and the block edge kernels at 1, 5 and 16 valid rows
+ *     with exact-zero padding lanes - at thread counts {1, 4, 8}
+ *     where threading applies.
  * Together with the forced-FABNET_ISA re-runs of the kernel parity
  * suites (ctest -L isa-parity) this is the gate that makes one binary
  * safe on every deployment target.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -40,6 +44,11 @@ using runtime::kNumIsaLevels;
 using testutil::bitwiseEqual;
 using testutil::forEachThreadCount;
 using testutil::gemmShapeSweep;
+
+/** Lanes of every stage-major butterfly block. */
+constexpr std::size_t kLanes = runtime::kBflyBlockRows;
+/** +0.0f, the exact bit pattern of a padding lane. */
+constexpr float kZero = 0.0f;
 
 /** Every level the host can run, weakest first (always has Scalar). */
 std::vector<const KernelTable *>
@@ -228,71 +237,102 @@ TEST_F(IsaDispatchTest, ButterflyStagesEveryVariantMatchesScalarTable)
 {
     const KernelTable *scalar = kernelTableFor(Isa::Scalar);
     ASSERT_NE(scalar, nullptr);
-    // Full stage-major blocks (nb == 16, the vector fast path) and
-    // ragged tails, across every stride of a 64-point butterfly.
-    const std::size_t n = 64;
-    for (const std::size_t nb : {1u, 5u, 16u}) {
-        Rng rng(500 + static_cast<unsigned>(nb));
-        const Tensor wt = rng.normalTensor({(n / 2) * 4});
-        const Tensor buf0 = rng.normalTensor({n * nb});
-        std::vector<std::int8_t> wq((n / 2) * 4);
-        for (std::size_t i = 0; i < wq.size(); ++i)
-            wq[i] = static_cast<std::int8_t>(
-                runtime::quantizeInt8(wt.data()[i], 40.0f));
+    // The stage kernels run at the one block width (16 lanes), across
+    // every stride of a 64-point butterfly.
+    const std::size_t n = 64, block = n * kLanes;
+    Rng rng(516);
+    const Tensor wt = rng.normalTensor({(n / 2) * 4});
+    const Tensor buf0 = rng.normalTensor({block});
+    std::vector<std::int8_t> wq((n / 2) * 4);
+    for (std::size_t i = 0; i < wq.size(); ++i)
+        wq[i] = runtime::quantizeInt8(wt.data()[i], 40.0f);
+    std::vector<std::int8_t> q0(block);
+    for (std::size_t i = 0; i < block; ++i)
+        q0[i] = runtime::quantizeInt8(buf0.data()[i], 40.0f);
+    const std::vector<float> scale0(kLanes, 1.0f / 40.0f);
 
+    for (std::size_t h = 1; h <= n / 2; h *= 2) {
+        // fp32 and fp16 stages rewrite the block in place.
+        std::vector<float> ref32(buf0.data(), buf0.data() + block);
+        scalar->bfly_stage(ref32.data(), wt.data(), n, h);
+        std::vector<float> ref16(buf0.data(), buf0.data() + block);
+        scalar->qbfly_f16_stage(ref16.data(), wt.data(), n, h);
+        // int8 stage + requant from a quantised block.
+        std::vector<std::int16_t> y_ref(block, 0);
+        std::vector<std::int8_t> q_ref = q0;
+        std::vector<float> s_ref = scale0;
+        scalar->qbfly_i8_stage(q_ref.data(), y_ref.data(), wq.data(), n,
+                               h);
+        scalar->qbfly_i8_requant(y_ref.data(), q_ref.data(),
+                                 s_ref.data(), 0.025f, n);
+
+        for (const KernelTable *t : supportedTables()) {
+            SCOPED_TRACE(std::string(t->name) + " h=" +
+                         std::to_string(h));
+            std::vector<float> b32(buf0.data(), buf0.data() + block);
+            t->bfly_stage(b32.data(), wt.data(), n, h);
+            EXPECT_EQ(std::memcmp(b32.data(), ref32.data(),
+                                  block * sizeof(float)),
+                      0);
+            std::vector<float> b16(buf0.data(), buf0.data() + block);
+            t->qbfly_f16_stage(b16.data(), wt.data(), n, h);
+            EXPECT_EQ(std::memcmp(b16.data(), ref16.data(),
+                                  block * sizeof(float)),
+                      0);
+
+            std::vector<std::int16_t> y(block, 0);
+            std::vector<std::int8_t> q = q0;
+            std::vector<float> s = scale0;
+            t->qbfly_i8_stage(q.data(), y.data(), wq.data(), n, h);
+            EXPECT_EQ(y, y_ref);
+            t->qbfly_i8_requant(y.data(), q.data(), s.data(), 0.025f, n);
+            EXPECT_EQ(q, q_ref);
+            EXPECT_EQ(std::memcmp(s.data(), s_ref.data(),
+                                  kLanes * sizeof(float)),
+                      0);
+        }
+    }
+}
+
+// The int8 stage at its int16 bound: every weight and code is +-127,
+// so each output is +-127^2 +- 127^2 - up to |y| = 2*127^2 = 32258,
+// the largest value the vector body's int16 lanes must hold exactly.
+TEST_F(IsaDispatchTest, Int8StageAtTheInt16BoundMatchesScalarTable)
+{
+    const KernelTable *scalar = kernelTableFor(Isa::Scalar);
+    ASSERT_NE(scalar, nullptr);
+    const std::size_t n = 8, block = n * kLanes;
+    const std::int8_t p = 127, m = -127;
+    // Pair weights (w0, w1, w2, w3): same signs, mixed signs, negated.
+    const std::int8_t patterns[][4] = {
+        {p, p, m, m}, {p, m, m, p}, {m, p, p, m}, {m, m, p, p}};
+    // Lane codes: all +127, all -127, and alternating signs.
+    std::vector<std::int8_t> q0(block);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t r = 0; r < kLanes; ++r)
+            q0[i * kLanes + r] = (r < 6) ? p : (r < 11) ? m
+                                 : ((i + r) % 2 ? p : m);
+    std::int32_t y_max = 0;
+    for (const auto &pat : patterns) {
+        std::vector<std::int8_t> w(n / 2 * 4);
+        for (std::size_t k = 0; k < w.size(); ++k)
+            w[k] = pat[k % 4];
         for (std::size_t h = 1; h <= n / 2; h *= 2) {
-            // fp32 and fp16 stages rewrite the block in place.
-            std::vector<float> ref32(buf0.data(), buf0.data() + n * nb);
-            scalar->bfly_stage(ref32.data(), wt.data(), n, h, nb);
-            std::vector<float> ref16(buf0.data(), buf0.data() + n * nb);
-            scalar->qbfly_f16_stage(ref16.data(), wt.data(), n, h, nb);
-
-            // int8 stage + requant: start from a quantised block.
-            std::vector<std::int8_t> q0(n * nb);
-            for (std::size_t i = 0; i < n * nb; ++i)
-                q0[i] = static_cast<std::int8_t>(
-                    runtime::quantizeInt8(buf0.data()[i], 40.0f));
-            std::vector<float> scale0(nb, 1.0f / 40.0f);
-            std::vector<std::int32_t> y_ref(n * nb, 0);
-            std::vector<std::int8_t> q_ref = q0;
-            std::vector<float> s_ref = scale0;
-            scalar->qbfly_i8_stage(q_ref.data(), y_ref.data(), wq.data(),
-                                   n, h, nb);
-            scalar->qbfly_i8_requant(y_ref.data(), q_ref.data(),
-                                     s_ref.data(), 0.025f, n, nb);
-
+            std::vector<std::int16_t> y_ref(block, 0);
+            scalar->qbfly_i8_stage(q0.data(), y_ref.data(), w.data(), n,
+                                   h);
+            for (const std::int32_t v : y_ref)
+                y_max = std::max(y_max, v < 0 ? -v : v);
             for (const KernelTable *t : supportedTables()) {
                 SCOPED_TRACE(std::string(t->name) + " h=" +
-                             std::to_string(h) + " nb=" +
-                             std::to_string(nb));
-                std::vector<float> b32(buf0.data(),
-                                       buf0.data() + n * nb);
-                t->bfly_stage(b32.data(), wt.data(), n, h, nb);
-                EXPECT_EQ(std::memcmp(b32.data(), ref32.data(),
-                                      n * nb * sizeof(float)),
-                          0);
-                std::vector<float> b16(buf0.data(),
-                                       buf0.data() + n * nb);
-                t->qbfly_f16_stage(b16.data(), wt.data(), n, h, nb);
-                EXPECT_EQ(std::memcmp(b16.data(), ref16.data(),
-                                      n * nb * sizeof(float)),
-                          0);
-
-                std::vector<std::int32_t> y(n * nb, 0);
-                std::vector<std::int8_t> q = q0;
-                std::vector<float> s = scale0;
-                t->qbfly_i8_stage(q.data(), y.data(), wq.data(), n, h,
-                                  nb);
+                             std::to_string(h));
+                std::vector<std::int16_t> y(block, 0);
+                t->qbfly_i8_stage(q0.data(), y.data(), w.data(), n, h);
                 EXPECT_EQ(y, y_ref);
-                t->qbfly_i8_requant(y.data(), q.data(), s.data(),
-                                    0.025f, n, nb);
-                EXPECT_EQ(q, q_ref);
-                EXPECT_EQ(std::memcmp(s.data(), s_ref.data(),
-                                      nb * sizeof(float)),
-                          0);
             }
         }
     }
+    EXPECT_EQ(y_max, 2 * 127 * 127);
 }
 
 TEST_F(IsaDispatchTest, BlockTransposesEveryVariantMatchScalarTable)
@@ -300,16 +340,19 @@ TEST_F(IsaDispatchTest, BlockTransposesEveryVariantMatchScalarTable)
     const KernelTable *scalar = kernelTableFor(Isa::Scalar);
     ASSERT_NE(scalar, nullptr);
     const std::size_t n = 48, stride = 53; // rows longer than the block
+    const std::size_t block = n * kLanes;
+    // Every buffer is exactly sized, so a sanitizer build catches a
+    // kernel that reads or writes past its nb rows or its 16 lanes.
     for (const std::size_t nb : {1u, 5u, 16u}) {
         Rng rng(700 + static_cast<unsigned>(nb));
         const Tensor src = rng.normalTensor({nb * stride});
 
-        std::vector<float> in_ref(n * nb, -1.0f);
+        std::vector<float> in_ref(block, -1.0f);
         scalar->bfly_transpose_in(src.data(), in_ref.data(), n, nb,
                                   stride);
         // Spot-check the layout contract against the definition.
         EXPECT_EQ(in_ref[0], src.data()[0]);
-        EXPECT_EQ(in_ref[(n - 1) * nb + (nb - 1)],
+        EXPECT_EQ(in_ref[(n - 1) * kLanes + (nb - 1)],
                   src.data()[(nb - 1) * stride + (n - 1)]);
 
         std::vector<float> out_ref(nb * stride, 0.0f);
@@ -321,11 +364,11 @@ TEST_F(IsaDispatchTest, BlockTransposesEveryVariantMatchScalarTable)
                                   n * sizeof(float)),
                       0);
 
-        std::vector<float> f16_ref(n * nb, -1.0f);
+        std::vector<float> f16_ref(block, -1.0f);
         scalar->qbfly_f16_transpose_in(src.data(), f16_ref.data(), n,
                                        nb, stride);
-        std::vector<std::int8_t> q_ref(n * nb, -1);
-        std::vector<float> s_ref(nb, -1.0f);
+        std::vector<std::int8_t> q_ref(block, -1);
+        std::vector<float> s_ref(kLanes, -1.0f);
         scalar->qbfly_i8_quant_in(src.data(), q_ref.data(),
                                   s_ref.data(), n, nb, stride);
         std::vector<float> dq_ref(nb * stride, 0.0f);
@@ -335,10 +378,10 @@ TEST_F(IsaDispatchTest, BlockTransposesEveryVariantMatchScalarTable)
         for (const KernelTable *t : supportedTables()) {
             SCOPED_TRACE(std::string(t->name) + " nb=" +
                          std::to_string(nb));
-            std::vector<float> buf(n * nb, -1.0f);
+            std::vector<float> buf(block, -1.0f);
             t->bfly_transpose_in(src.data(), buf.data(), n, nb, stride);
             EXPECT_EQ(std::memcmp(buf.data(), in_ref.data(),
-                                  n * nb * sizeof(float)),
+                                  block * sizeof(float)),
                       0);
             std::vector<float> outb(nb * stride, 0.0f);
             t->bfly_transpose_out(in_ref.data(), outb.data(), n, nb,
@@ -346,19 +389,19 @@ TEST_F(IsaDispatchTest, BlockTransposesEveryVariantMatchScalarTable)
             EXPECT_EQ(std::memcmp(outb.data(), out_ref.data(),
                                   nb * stride * sizeof(float)),
                       0);
-            std::vector<float> f16(n * nb, -1.0f);
+            std::vector<float> f16(block, -1.0f);
             t->qbfly_f16_transpose_in(src.data(), f16.data(), n, nb,
                                       stride);
             EXPECT_EQ(std::memcmp(f16.data(), f16_ref.data(),
-                                  n * nb * sizeof(float)),
+                                  block * sizeof(float)),
                       0);
-            std::vector<std::int8_t> q(n * nb, -1);
-            std::vector<float> s(nb, -1.0f);
+            std::vector<std::int8_t> q(block, -1);
+            std::vector<float> s(kLanes, -1.0f);
             t->qbfly_i8_quant_in(src.data(), q.data(), s.data(), n, nb,
                                  stride);
             EXPECT_EQ(q, q_ref);
             EXPECT_EQ(std::memcmp(s.data(), s_ref.data(),
-                                  nb * sizeof(float)),
+                                  kLanes * sizeof(float)),
                       0);
             std::vector<float> dq(nb * stride, 0.0f);
             t->qbfly_i8_dequant_out(q_ref.data(), s_ref.data(),
@@ -366,6 +409,23 @@ TEST_F(IsaDispatchTest, BlockTransposesEveryVariantMatchScalarTable)
             EXPECT_EQ(std::memcmp(dq.data(), dq_ref.data(),
                                   nb * stride * sizeof(float)),
                       0);
+
+            // Padding lanes nb..15 of every input kernel are exact
+            // (+0.0) zeros, and quant-in gives them scale 0.
+            for (std::size_t r = nb; r < kLanes; ++r) {
+                EXPECT_EQ(std::memcmp(&s[r], &kZero, sizeof(float)), 0)
+                    << "scale lane " << r;
+                for (std::size_t i = 0; i < n; ++i) {
+                    const std::size_t e = i * kLanes + r;
+                    EXPECT_EQ(std::memcmp(&buf[e], &kZero, sizeof(float)),
+                              0)
+                        << "fp32 lane " << r << " i=" << i;
+                    EXPECT_EQ(std::memcmp(&f16[e], &kZero, sizeof(float)),
+                              0)
+                        << "fp16 lane " << r << " i=" << i;
+                    EXPECT_EQ(q[e], 0) << "int8 lane " << r << " i=" << i;
+                }
+            }
         }
     }
 }
@@ -380,17 +440,17 @@ TEST_F(IsaDispatchTest, QuantInZeroRowContractHoldsOnEveryVariant)
         src[2 * stride + i] = 0.5f; // only row 2 is non-zero
     for (const KernelTable *t : supportedTables()) {
         SCOPED_TRACE(t->name);
-        std::vector<std::int8_t> q(n * nb, -1);
-        std::vector<float> s(nb, -1.0f);
+        std::vector<std::int8_t> q(n * kLanes, -1);
+        std::vector<float> s(kLanes, -1.0f);
         t->qbfly_i8_quant_in(src.data(), q.data(), s.data(), n, nb,
                              stride);
         EXPECT_EQ(s[0], 0.0f);
         EXPECT_EQ(s[1], 0.0f);
         EXPECT_GT(s[2], 0.0f);
         for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(q[i * nb + 0], 0);
-            EXPECT_EQ(q[i * nb + 1], 0);
-            EXPECT_EQ(q[i * nb + 2], 127);
+            EXPECT_EQ(q[i * kLanes + 0], 0);
+            EXPECT_EQ(q[i * kLanes + 1], 0);
+            EXPECT_EQ(q[i * kLanes + 2], 127);
         }
     }
 }

@@ -114,7 +114,9 @@ TEST_F(QuantKernelsTest, QuantGemmTracksFp32)
 TEST_F(QuantKernelsTest, QuantButterflyBatchMatchesReferenceExactly)
 {
     for (QuantKind kind : {QuantKind::Int8, QuantKind::Fp16}) {
-        for (std::size_t n : {4u, 32u, 128u}) {
+        // Up to the served cores: 256 points (projections, FFN
+        // expand) and the 10-stage 1024-point FFN contract core.
+        for (std::size_t n : {4u, 32u, 128u, 256u, 1024u}) {
             ButterflyMatrix m(n);
             Rng rng(n);
             m.initRandomRotation(rng);
@@ -202,22 +204,32 @@ TEST_F(QuantKernelsTest, F16ButterflyCrossValidatesSimDatapath)
 TEST_F(QuantKernelsTest, QuantButterflyLinearParity)
 {
     Rng rng(47);
-    // (in, out) covering pad, truncate and multi-core expand paths.
-    const std::size_t shapes[][2] = {{24, 24}, {32, 96}, {48, 17}};
+    // (in, out) covering pad, truncate and multi-core expand paths,
+    // plus the served FFN shapes at decode and classify row counts.
+    struct Shape
+    {
+        std::size_t in, out;
+        std::vector<std::size_t> rows;
+    };
+    const Shape shapes[] = {{24, 24, {1, 7, 33}},
+                            {32, 96, {1, 7, 33}},
+                            {48, 17, {1, 7, 33}},
+                            {256, 1024, {4, 30}},
+                            {1024, 256, {4, 30}}};
     for (QuantKind kind : {QuantKind::Int8, QuantKind::Fp16}) {
-        for (const auto &s : shapes) {
-            ButterflyLinear lin(s[0], s[1]);
+        for (const Shape &s : shapes) {
+            ButterflyLinear lin(s.in, s.out);
             lin.initRandomRotation(rng);
             for (float &b : lin.bias())
                 b = rng.normal();
             QuantizedButterflyLinear qlin(lin, kind);
-            for (std::size_t rows : {1u, 7u, 33u}) {
-                Tensor x = rng.normalTensor({rows, s[0]});
+            for (std::size_t rows : s.rows) {
+                Tensor x = rng.normalTensor({rows, s.in});
                 const Tensor want = qlin.applyBatchReference(x);
                 forEachThreadCount([&](std::size_t threads) {
                     EXPECT_TRUE(bitwiseEqual(qlin.applyBatch(x), want))
-                        << quantKindName(kind) << " in=" << s[0]
-                        << " out=" << s[1] << " rows=" << rows
+                        << quantKindName(kind) << " in=" << s.in
+                        << " out=" << s.out << " rows=" << rows
                         << " threads=" << threads;
                 });
                 // Quantisation noise vs the fp32 layer stays bounded.
@@ -227,8 +239,8 @@ TEST_F(QuantKernelsTest, QuantButterflyLinearParity)
                     relTol(fp32, kind == QuantKind::Int8 ? 0.06f
                                                          : 0.02f,
                            1e-2f)))
-                    << quantKindName(kind) << " vs fp32 in=" << s[0]
-                    << " out=" << s[1];
+                    << quantKindName(kind) << " vs fp32 in=" << s.in
+                    << " out=" << s.out;
             }
         }
     }
