@@ -1,6 +1,6 @@
 /**
  * @file fault.h
- * Deterministic fault injection for the serving engine.
+ * Deterministic fault injection for the serving engines.
  *
  * Every failure path the reliability layer promises to handle -
  * admission rejection, a poisoned row failing inside a model
@@ -15,19 +15,23 @@
  *    order their enqueue attempt reaches the engine (submit() calls
  *    and serveAll() elements alike, counted whether or not the attempt
  *    is ultimately admitted);
- *  - the DISPATCH index: model batches are numbered 0, 1, 2, ... in
- *    the order groups are claimed for execution (dispatcher and inline
- *    serveAll() groups share the one counter).
+ *  - the DISPATCH (invocation) index: batched model invocations are
+ *    numbered 0, 1, 2, ... in dispatch order. For ServingEngine these
+ *    are the claimed groups (dispatcher and inline serveAll() groups
+ *    share the one counter); for GenerationEngine, prefill batches and
+ *    decode steps share it. Per-request isolation retries take none.
  *
  * Both are single-threaded-deterministic: a test that submits from one
  * thread with flush-on-full/drain batching (long max_wait) sees the
  * exact grouping serving_test.cpp already pins down, so "request #3"
  * and "batch #1" name the same victims on every run.
  *
- * The plan is installed via ServingConfig::fault_plan (a non-owning
- * pointer; the plan must outlive the engine and is read-only while
- * serving). Production configs leave it null - every hook below is a
- * branch on a null pointer in that case.
+ * The plan is installed via ServingConfig::fault_plan or
+ * GenerationConfig::fault_plan (the ReliabilityConfig field of
+ * serve/reliability.h; a non-owning pointer - the plan must outlive
+ * the engine and is read-only while serving). Production configs
+ * leave it null - every hook below is a branch on a null pointer in
+ * that case.
  */
 #ifndef FABNET_SERVE_FAULT_H
 #define FABNET_SERVE_FAULT_H
@@ -40,7 +44,7 @@
 namespace fabnet {
 namespace serve {
 
-/** Deterministic fault/delay schedule for one ServingEngine. */
+/** Deterministic fault/delay schedule for one serving engine. */
 struct FaultPlan
 {
     /** Where an injected per-request fault fires. */

@@ -10,74 +10,20 @@
 namespace fabnet {
 namespace serve {
 
-namespace {
-
-/** serving.cc's fault mapping, restated here: injected faults are
- *  already serve::Error and pass through, real model exceptions are
- *  wrapped as ModelFault keeping their message. */
-Error
-genFaultFrom(std::exception_ptr ep)
-{
-    try {
-        std::rethrow_exception(ep);
-    } catch (const Error &e) {
-        return e;
-    } catch (const std::exception &e) {
-        return Error(ErrorCode::ModelFault, e.what());
-    } catch (...) {
-        return Error(ErrorCode::ModelFault, "unknown model exception");
-    }
-}
-
-} // namespace
-
-/** Registers the in-flight invocation's cancel token and start time
- *  with the watchdog for the duration of the model call (RAII);
- *  serving.cc's scheme verbatim. */
-struct GenerationEngine::WatchdogArm
-{
-    GenerationEngine &e;
-    WatchdogArm(GenerationEngine &eng, runtime::CancelToken &tok) : e(eng)
-    {
-        std::lock_guard<std::mutex> lk(e.wd_mu_);
-        e.wd_token_ = &tok;
-        e.wd_started_ = RequestBatcher::Clock::now();
-        e.wd_fired_ = false;
-        e.wd_cv_.notify_all();
-    }
-    ~WatchdogArm()
-    {
-        std::lock_guard<std::mutex> lk(e.wd_mu_);
-        e.wd_token_ = nullptr;
-        e.wd_cv_.notify_all();
-    }
-};
-
 GenerationEngine::GenerationEngine(CausalGenerator &gen,
                                    GenerationConfig cfg)
-    : gen_(gen), cfg_(cfg)
+    : gen_(gen), cfg_(cfg), core_(cfg_, gen.maxSeq(), "GenerationEngine")
 {
     if (cfg_.max_live == 0)
         throw std::invalid_argument(
             "GenerationEngine: max_live must be >= 1");
-    if (cfg_.max_queue_tokens != 0 &&
-        cfg_.max_queue_tokens < gen_.maxSeq())
-        throw std::invalid_argument(
-            "GenerationEngine: max_queue_tokens below max_seq would "
-            "make some valid prompts permanently inadmissible");
-    // RAII member lease: survives a throwing std::thread constructor
-    // below (the engine destructor would not run, the member's would).
-    ws_cap_lease_ =
-        detail::WorkspaceCapLease(cfg_.workspace_cap_bytes);
-    if (cfg_.watchdog_timeout.count() > 0)
-        watchdog_ = std::thread([this] { watchdogLoop(); });
     scheduler_ = std::thread([this] { schedulerLoop(); });
 }
 
 GenerationEngine::~GenerationEngine()
 {
     // Full graceful drain first: every outstanding future resolves
-    // before the threads are torn down.
+    // before the scheduler is torn down.
     shutdown();
     {
         std::lock_guard<std::mutex> lk(mu_);
@@ -86,15 +32,7 @@ GenerationEngine::~GenerationEngine()
         idle_cv_.notify_all();
     }
     scheduler_.join();
-    if (watchdog_.joinable()) {
-        {
-            std::lock_guard<std::mutex> wl(wd_mu_);
-            wd_stop_ = true;
-            wd_cv_.notify_all();
-        }
-        watchdog_.join();
-    }
-    // ws_cap_lease_ releases the workspace cap via member destruction.
+    // core_ then stops the watchdog and releases the workspace cap.
 }
 
 std::future<std::vector<int>>
@@ -126,51 +64,10 @@ GenerationEngine::submit(std::vector<int> prompt,
     if (max_new_tokens == 0)
         throw Error(ErrorCode::InvalidRequest,
                     "max_new_tokens must be >= 1");
-    const FaultPlan *plan = cfg_.fault_plan;
-    if (plan && plan->requestFault(admission_index,
-                                   FaultPlan::Stage::Admission))
-        throw Error(ErrorCode::InvalidRequest,
-                    "injected admission fault (request #" +
-                        std::to_string(admission_index) + ")");
-    const auto now = RequestBatcher::Clock::now();
-    if (deadline != kNoDeadline && deadline <= now) {
-        ++stats_.expired_in_queue;
-        throw Error(ErrorCode::DeadlineExceeded,
-                    "deadline already expired at submit");
-    }
-    const auto over = [&] {
-        return (cfg_.max_queue_requests != 0 &&
-                queue_.size() >= cfg_.max_queue_requests) ||
-               (cfg_.max_queue_tokens != 0 &&
-                queued_tokens_ + prompt.size() > cfg_.max_queue_tokens);
-    };
-    if (over() && cfg_.shed_policy == ShedPolicy::DropExpiredFirst) {
-        std::deque<GenRequest> kept;
-        for (GenRequest &r : queue_) {
-            if (r.deadline != kNoDeadline && r.deadline <= now) {
-                ++stats_.shed;
-                ++stats_.failed;
-                queued_tokens_ -= r.prompt.size();
-                outstanding_.erase(r.id);
-                r.promise.set_exception(std::make_exception_ptr(Error(
-                    ErrorCode::DeadlineExceeded,
-                    "shed from the admission queue (DropExpiredFirst: "
-                    "deadline expired before prefill)")));
-            } else {
-                kept.push_back(std::move(r));
-            }
-        }
-        queue_.swap(kept);
-        idle_cv_.notify_all(); // outstanding_ shrank: waiters re-check
-    }
-    if (over()) {
-        ++stats_.rejected;
-        throw Error(ErrorCode::QueueFull,
-                    "admission queue full (" +
-                        std::to_string(queue_.size()) + " requests / " +
-                        std::to_string(queued_tokens_) +
-                        " prompt tokens queued)");
-    }
+    core_.admit(
+        admission_index, deadline, prompt.size(), true, stats_,
+        [this] { return std::pair(queue_.size(), queued_tokens_); },
+        [this](Deadline now) { shedExpiredLocked(now); });
     queue_.emplace_back();
     GenRequest &r = queue_.back();
     r.prompt = std::move(prompt);
@@ -216,19 +113,12 @@ GenerationEngine::shutdown(Deadline deadline)
     }
     if (idle_cv_.wait_until(lk, deadline, all_resolved))
         return;
-    // Deadline passed: fail everything still queued, cooperatively
-    // cancel the in-flight prefill/step (its sequences fail with
-    // ShuttingDown via cancelCause), and let the scheduler evict the
-    // remaining live set at the next step boundary. abandon_ is set
-    // first so a Cancelled invocation - and one that arms after this
-    // point - attributes to shutdown.
-    abandon_.store(true, std::memory_order_release);
+    // Deadline passed: cooperatively cancel the in-flight prefill/step
+    // (its sequences fail with ShuttingDown), fail everything still
+    // queued, and let the scheduler evict the remaining live set at
+    // the next step boundary.
+    core_.abandon();
     failQueuedLocked();
-    {
-        std::lock_guard<std::mutex> wl(wd_mu_);
-        if (wd_token_)
-            wd_token_->cancel();
-    }
     work_cv_.notify_all();
     idle_cv_.wait(lk, all_resolved);
 }
@@ -236,18 +126,35 @@ GenerationEngine::shutdown(Deadline deadline)
 GenerationStats
 GenerationEngine::stats() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return stats_;
+    GenerationStats out;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        out = stats_;
+    }
+    core_.stamp(out);
+    return out;
 }
 
-Error
-GenerationEngine::cancelCause() const
+void
+GenerationEngine::shedExpiredLocked(Deadline now)
 {
-    return abandon_.load(std::memory_order_acquire)
-               ? Error(ErrorCode::ShuttingDown,
-                       "invocation cancelled at the shutdown deadline")
-               : Error(ErrorCode::ModelFault,
-                       "watchdog cancelled a stuck model invocation");
+    std::deque<GenRequest> kept;
+    for (GenRequest &r : queue_) {
+        if (r.deadline != kNoDeadline && r.deadline <= now) {
+            ++stats_.shed;
+            ++stats_.failed;
+            queued_tokens_ -= r.prompt.size();
+            outstanding_.erase(r.id);
+            r.promise.set_exception(std::make_exception_ptr(Error(
+                ErrorCode::DeadlineExceeded,
+                "shed from the admission queue (DropExpiredFirst: "
+                "deadline expired before prefill)")));
+        } else {
+            kept.push_back(std::move(r));
+        }
+    }
+    queue_.swap(kept);
+    idle_cv_.notify_all(); // outstanding_ shrank: waiters re-check
 }
 
 void
@@ -306,7 +213,19 @@ GenerationEngine::failSeq(GenRequest &req, const Error &err,
 }
 
 bool
-GenerationEngine::deliverToken(Live &seq, int tok)
+GenerationEngine::seqDone(const Live &seq) const
+{
+    if (seq.generated.size() >= seq.req.max_new)
+        return true;
+    if (cfg_.eos_token >= 0 && !seq.generated.empty() &&
+        seq.generated.back() == cfg_.eos_token)
+        return true;
+    // Positional table exhausted: no further step is legal.
+    return seq.state.len >= gen_.maxSeq();
+}
+
+void
+GenerationEngine::advance(Live &seq, int tok, std::vector<Live> &keep)
 {
     // Count BEFORE the callback/future can observe the token, matching
     // the engine-wide "stats published before results" order.
@@ -323,149 +242,98 @@ GenerationEngine::deliverToken(Live &seq, int tok)
                     Error(ErrorCode::InvalidRequest,
                           "token callback threw; request failed"),
                     false);
-            return false;
+            return;
         }
     }
-    return true;
-}
-
-bool
-GenerationEngine::seqDone(const Live &seq) const
-{
-    if (seq.generated.size() >= seq.req.max_new)
-        return true;
-    if (cfg_.eos_token >= 0 && !seq.generated.empty() &&
-        seq.generated.back() == cfg_.eos_token)
-        return true;
-    // Positional table exhausted: no further step is legal.
-    return seq.state.len >= gen_.maxSeq();
+    seq.next_input = tok;
+    if (seqDone(seq))
+        completeSeq(seq);
+    else
+        keep.push_back(std::move(seq));
 }
 
 Tensor
-GenerationEngine::invokeGuarded(const std::function<Tensor()> &fn,
-                                bool stall,
-                                const std::string *injected_fault)
+GenerationEngine::forward(std::span<Live> seqs, bool prefill)
 {
-    runtime::CancelToken cancel;
-    WatchdogArm arm(*this, cancel);
-    runtime::CancelScope scope(cancel);
-    // A shutdown deadline that already passed cancels this invocation
-    // before any work is done.
-    if (abandon_.load(std::memory_order_acquire))
-        cancel.cancel();
-    if (stall) {
-        // Injected stall: spin until the watchdog (or a shutdown
-        // deadline) cancels us; the safety bound turns a missing
-        // watchdog into a loud ModelFault instead of a hung test.
-        const auto start = RequestBatcher::Clock::now();
-        for (;;) {
-            if (cancel.cancelled())
-                throw runtime::Cancelled{};
-            if (RequestBatcher::Clock::now() - start >
-                std::chrono::seconds(10))
-                throw Error(ErrorCode::ModelFault,
-                            "injected stall hit its 10s safety bound "
-                            "(no watchdog cancelled it)");
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
+    std::vector<SequenceState *> states;
+    states.reserve(seqs.size());
+    for (Live &s : seqs)
+        states.push_back(&s.state);
+    if (prefill) {
+        std::vector<std::vector<int>> prompts;
+        prompts.reserve(seqs.size());
+        for (const Live &s : seqs)
+            prompts.push_back(s.req.prompt);
+        return gen_.prefill(prompts, states);
     }
-    if (injected_fault)
-        throw Error(ErrorCode::ModelFault, *injected_fault);
-    return fn();
+    std::vector<int> toks;
+    toks.reserve(seqs.size());
+    for (const Live &s : seqs)
+        toks.push_back(s.next_input);
+    return gen_.decodeStep(toks, states);
 }
 
 void
-GenerationEngine::prefillAdmitted(std::vector<GenRequest> reqs,
-                                  std::vector<Live> &live)
+GenerationEngine::invoke(std::vector<Live> seqs, std::vector<Live> &keep,
+                         bool prefill)
 {
-    const FaultPlan *plan = cfg_.fault_plan;
-    std::size_t inv = 0;
+    // Prefills and decode steps share one invocation counter - the
+    // FaultPlan's delay/stall key.
+    std::size_t index = 0;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        inv = invoke_seq_++;
-        ++stats_.prefill_batches;
-        for (const GenRequest &r : reqs)
-            stats_.prefill_tokens += r.prompt.size();
+        index = invoke_seq_++;
+        if (prefill) {
+            ++stats_.prefill_batches;
+            for (const Live &s : seqs)
+                stats_.prefill_tokens += s.req.prompt.size();
+        } else {
+            ++stats_.steps;
+        }
     }
-    std::string injected;
-    bool stall = false;
-    if (plan) {
-        const std::chrono::microseconds d = plan->batchDelay(inv);
-        if (d.count() > 0)
-            std::this_thread::sleep_for(d);
-        stall = plan->batchStalls(inv);
-        for (const GenRequest &r : reqs)
-            if (injected.empty() &&
-                plan->requestFault(r.admission_index,
-                                   FaultPlan::Stage::Model))
-                injected = "injected model fault (request #" +
-                           std::to_string(r.admission_index) + ")";
-    }
-
-    std::vector<Live> fresh;
-    fresh.reserve(reqs.size());
-    for (GenRequest &r : reqs) {
-        Live s;
-        s.req = std::move(r);
-        s.state = gen_.newState();
-        fresh.push_back(std::move(s));
-    }
-    std::vector<std::vector<int>> prompts;
-    std::vector<SequenceState *> states;
-    prompts.reserve(fresh.size());
-    states.reserve(fresh.size());
-    for (Live &s : fresh) {
-        prompts.push_back(s.req.prompt);
-        states.push_back(&s.state);
+    core_.delay(index);
+    keep.reserve(keep.size() + seqs.size());
+    std::string fault;
+    std::vector<std::size_t> pre_lens;
+    pre_lens.reserve(seqs.size());
+    for (const Live &s : seqs) {
+        if (fault.empty())
+            fault = core_.injectedFault(s.req.admission_index);
+        pre_lens.push_back(s.state.len);
     }
 
     Tensor logits;
     try {
-        logits = invokeGuarded(
-            [&] { return gen_.prefill(prompts, states); }, stall,
-            injected.empty() ? nullptr : &injected);
+        logits = core_.guard([&] { return forward(seqs, prefill); },
+                             core_.stalls(index), fault);
     } catch (const runtime::Cancelled &) {
         // The invocation never finished; no sequence has a usable
         // state, and re-running a stuck batch would stick again.
-        const Error err = cancelCause();
-        for (Live &s : fresh)
+        const Error err = core_.cancelCause();
+        for (Live &s : seqs)
             failSeq(s.req, err, false);
         return;
     } catch (...) {
-        // Per-sequence fault isolation: a faulted batched prefill may
-        // have captured some layers' caches before throwing; each
-        // retry starts from a rolled-back (empty) state.
+        // Roll every sequence back to its pre-invocation cache length
+        // (a faulted invocation may have appended K/V rows before
+        // throwing), then retry one sequence at a time: survivors
+        // advance bitwise identically (a 1-row prefill/step equals its
+        // batched one by the decode-parity contract), the poisoned
+        // sequence alone fails - model faults are sticky.
+        for (std::size_t i = 0; i < seqs.size(); ++i)
+            gen_.rollback(seqs[i].state, pre_lens[i]);
         {
             std::lock_guard<std::mutex> lk(mu_);
             ++stats_.isolation_retries;
         }
-        for (Live &s : fresh) {
-            gen_.rollback(s.state, 0);
-            std::string one;
-            // Model faults are sticky (serve/fault.h): the poisoned
-            // sequence fails here instead of silently succeeding.
-            if (plan && plan->requestFault(s.req.admission_index,
-                                           FaultPlan::Stage::Model))
-                one = "injected model fault (request #" +
-                      std::to_string(s.req.admission_index) + ")";
+        for (Live &s : seqs) {
             try {
-                const std::vector<std::vector<int>> p1{s.req.prompt};
-                const std::vector<SequenceState *> st1{&s.state};
-                const Tensor lg = invokeGuarded(
-                    [&] { return gen_.prefill(p1, st1); }, false,
-                    one.empty() ? nullptr : &one);
-                const int tok = nn::argmaxRows(lg)[0];
-                if (!deliverToken(s, tok))
-                    continue;
-                s.next_input = tok;
-                if (seqDone(s))
-                    completeSeq(s);
-                else
-                    live.push_back(std::move(s));
-            } catch (const runtime::Cancelled &) {
-                failSeq(s.req, cancelCause(), false);
+                const Tensor one = core_.guard(
+                    [&] { return forward({&s, 1}, prefill); }, false,
+                    core_.injectedFault(s.req.admission_index));
+                advance(s, nn::argmaxRows(one)[0], keep);
             } catch (...) {
-                failSeq(s.req, genFaultFrom(std::current_exception()),
+                failSeq(s.req, core_.failure(std::current_exception()),
                         false);
             }
         }
@@ -473,125 +341,8 @@ GenerationEngine::prefillAdmitted(std::vector<GenRequest> reqs,
     }
 
     const std::vector<int> toks = nn::argmaxRows(logits);
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-        Live &s = fresh[i];
-        if (!deliverToken(s, toks[i]))
-            continue;
-        s.next_input = toks[i];
-        if (seqDone(s))
-            completeSeq(s);
-        else
-            live.push_back(std::move(s));
-    }
-}
-
-void
-GenerationEngine::stepLive(std::vector<Live> &live)
-{
-    const FaultPlan *plan = cfg_.fault_plan;
-    std::size_t inv = 0;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        inv = invoke_seq_++;
-        ++stats_.steps;
-    }
-    std::string injected;
-    bool stall = false;
-    if (plan) {
-        const std::chrono::microseconds d = plan->batchDelay(inv);
-        if (d.count() > 0)
-            std::this_thread::sleep_for(d);
-        stall = plan->batchStalls(inv);
-        for (const Live &s : live)
-            if (injected.empty() &&
-                plan->requestFault(s.req.admission_index,
-                                   FaultPlan::Stage::Model))
-                injected = "injected model fault (request #" +
-                           std::to_string(s.req.admission_index) + ")";
-    }
-
-    std::vector<int> toks;
-    std::vector<SequenceState *> states;
-    std::vector<std::size_t> pre_lens;
-    toks.reserve(live.size());
-    states.reserve(live.size());
-    pre_lens.reserve(live.size());
-    for (Live &s : live) {
-        toks.push_back(s.next_input);
-        states.push_back(&s.state);
-        pre_lens.push_back(s.state.len);
-    }
-
-    Tensor logits;
-    try {
-        logits = invokeGuarded(
-            [&] { return gen_.decodeStep(toks, states); }, stall,
-            injected.empty() ? nullptr : &injected);
-    } catch (const runtime::Cancelled &) {
-        const Error err = cancelCause();
-        for (Live &s : live)
-            failSeq(s.req, err, false);
-        live.clear();
-        return;
-    } catch (...) {
-        // Roll every sequence back to its pre-step cache length (a
-        // faulted step may have appended K/V rows before throwing),
-        // then retry one sequence at a time: survivors advance bitwise
-        // identically (the 1-row step equals its batched step by the
-        // decode-parity contract), the poisoned sequence alone fails.
-        for (std::size_t i = 0; i < live.size(); ++i)
-            gen_.rollback(live[i].state, pre_lens[i]);
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            ++stats_.isolation_retries;
-        }
-        std::vector<Live> keep;
-        keep.reserve(live.size());
-        for (Live &s : live) {
-            std::string one;
-            if (plan && plan->requestFault(s.req.admission_index,
-                                           FaultPlan::Stage::Model))
-                one = "injected model fault (request #" +
-                      std::to_string(s.req.admission_index) + ")";
-            try {
-                const std::vector<int> t1{s.next_input};
-                const std::vector<SequenceState *> st1{&s.state};
-                const Tensor lg = invokeGuarded(
-                    [&] { return gen_.decodeStep(t1, st1); }, false,
-                    one.empty() ? nullptr : &one);
-                const int tok = nn::argmaxRows(lg)[0];
-                if (!deliverToken(s, tok))
-                    continue;
-                s.next_input = tok;
-                if (seqDone(s))
-                    completeSeq(s);
-                else
-                    keep.push_back(std::move(s));
-            } catch (const runtime::Cancelled &) {
-                failSeq(s.req, cancelCause(), false);
-            } catch (...) {
-                failSeq(s.req, genFaultFrom(std::current_exception()),
-                        false);
-            }
-        }
-        live.swap(keep);
-        return;
-    }
-
-    const std::vector<int> next = nn::argmaxRows(logits);
-    std::vector<Live> keep;
-    keep.reserve(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-        Live &s = live[i];
-        if (!deliverToken(s, next[i]))
-            continue;
-        s.next_input = next[i];
-        if (seqDone(s))
-            completeSeq(s);
-        else
-            keep.push_back(std::move(s));
-    }
-    live.swap(keep);
+    for (std::size_t i = 0; i < seqs.size(); ++i)
+        advance(seqs[i], toks[i], keep);
 }
 
 void
@@ -600,13 +351,13 @@ GenerationEngine::schedulerLoop()
     std::vector<Live> live;
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
-        if (abandon_.load(std::memory_order_acquire) && !queue_.empty())
+        if (core_.abandoned() && !queue_.empty())
             failQueuedLocked();
         // Admission up to max_live: pop FIFO, discarding requests that
         // expired while queued (failed before any model time).
-        std::vector<GenRequest> admitted;
-        const auto now = RequestBatcher::Clock::now();
-        while (live.size() + admitted.size() < cfg_.max_live &&
+        std::vector<Live> fresh;
+        const auto now = Deadline::clock::now();
+        while (live.size() + fresh.size() < cfg_.max_live &&
                !queue_.empty()) {
             GenRequest r = std::move(queue_.front());
             queue_.pop_front();
@@ -622,9 +373,11 @@ GenerationEngine::schedulerLoop()
                 idle_cv_.notify_all();
                 continue;
             }
-            admitted.push_back(std::move(r));
+            Live &s = fresh.emplace_back();
+            s.req = std::move(r);
+            s.state = gen_.newState();
         }
-        if (admitted.empty() && live.empty()) {
+        if (fresh.empty() && live.empty()) {
             if (stop_)
                 break;
             idle_cv_.notify_all();
@@ -632,13 +385,13 @@ GenerationEngine::schedulerLoop()
             continue;
         }
         stats_.peak_live =
-            std::max(stats_.peak_live, live.size() + admitted.size());
+            std::max(stats_.peak_live, live.size() + fresh.size());
         lk.unlock();
 
-        if (!admitted.empty())
-            prefillAdmitted(std::move(admitted), live);
+        if (!fresh.empty())
+            invoke(std::move(fresh), live, true);
 
-        if (abandon_.load(std::memory_order_acquire)) {
+        if (core_.abandoned()) {
             const Error err(ErrorCode::ShuttingDown,
                             "live sequence evicted at the shutdown "
                             "deadline");
@@ -651,7 +404,7 @@ GenerationEngine::schedulerLoop()
 
         // Per-step deadline eviction: an expired live sequence leaves
         // BEFORE the next token is computed.
-        const auto step_now = RequestBatcher::Clock::now();
+        const auto step_now = Deadline::clock::now();
         for (auto it = live.begin(); it != live.end();) {
             if (it->req.deadline != kNoDeadline &&
                 it->req.deadline <= step_now) {
@@ -666,8 +419,9 @@ GenerationEngine::schedulerLoop()
             }
         }
 
+        // The step takes the live set and moves its survivors back.
         if (!live.empty())
-            stepLive(live);
+            invoke(std::exchange(live, {}), live, false);
 
         lk.lock();
     }
@@ -677,36 +431,6 @@ GenerationEngine::schedulerLoop()
     for (Live &s : live)
         failSeq(s.req, Error(ErrorCode::ShuttingDown, "engine stopped"),
                 false);
-}
-
-void
-GenerationEngine::watchdogLoop()
-{
-    std::unique_lock<std::mutex> wl(wd_mu_);
-    for (;;) {
-        if (wd_stop_)
-            return;
-        if (!wd_token_ || wd_fired_) {
-            wd_cv_.wait(wl);
-            continue;
-        }
-        const auto fire_at = wd_started_ + cfg_.watchdog_timeout;
-        if (RequestBatcher::Clock::now() >= fire_at) {
-            // The token lives on the scheduler thread's stack, but
-            // deregistration takes wd_mu_, so it cannot die while we
-            // hold the lock.
-            wd_token_->cancel();
-            wd_fired_ = true;
-            wl.unlock();
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                ++stats_.watchdog_fired;
-            }
-            wl.lock();
-            continue;
-        }
-        wd_cv_.wait_until(wl, fire_at);
-    }
 }
 
 } // namespace serve

@@ -16,8 +16,8 @@
  * live-set composition can never change anyone's tokens.
  *
  * ## Failure model at token granularity (docs/SERVING.md)
- * The ServingEngine reliability layer (PR 6), carried to per-token
- * granularity:
+ * The reliability core ServingEngine also runs on (serve/reliability.h),
+ * carried to per-token granularity:
  *  - deadlines are re-checked EVERY STEP: an expired live sequence is
  *    evicted before the next token is computed (DeadlineExceeded with
  *    the tokens so far spent discarded, like mid-batch expiry);
@@ -41,7 +41,6 @@
 #ifndef FABNET_SERVE_GENERATION_H
 #define FABNET_SERVE_GENERATION_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -49,14 +48,13 @@
 #include <future>
 #include <mutex>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "model/generator.h"
-#include "runtime/parallel.h"
 #include "serve/error.h"
-#include "serve/fault.h"
-#include "serve/serving.h"
+#include "serve/reliability.h"
 
 namespace fabnet {
 namespace serve {
@@ -67,8 +65,11 @@ namespace serve {
  *  a throwing callback fails its own request with InvalidRequest. */
 using TokenCallback = std::function<void(int token)>;
 
-/** Scheduling/robustness knobs of the generation engine. */
-struct GenerationConfig
+/** Scheduling knobs of the generation engine; the robustness knobs
+ *  (bounded admission over queued PROMPT tokens, per-invocation
+ *  watchdog, fault plan, workspace cap) are the shared
+ *  ReliabilityConfig base (serve/reliability.h). */
+struct GenerationConfig : ReliabilityConfig
 {
     /** Maximum sequences decoding concurrently (the step batch cap).
      *  Admission above this waits in the queue for an eviction. */
@@ -76,46 +77,15 @@ struct GenerationConfig
     /** Token id ending generation when sampled (included in the
      *  output); negative = no EOS, run to max_new_tokens. */
     int eos_token = -1;
-    /** Workspace retention cap while the engine lives (0 = leave the
-     *  policy as-is); see ServingConfig::workspace_cap_bytes. */
-    std::size_t workspace_cap_bytes = 4u << 20;
-
-    // ------------------------------------------- bounded admission
-    /** Max queued (not yet live) requests; 0 = unbounded. */
-    std::size_t max_queue_requests = 0;
-    /** Cap on total queued PROMPT tokens; 0 = unbounded. Must exceed
-     *  max_seq to be satisfiable. */
-    std::size_t max_queue_tokens = 0;
-    /** What to do when a cap is hit (serve/serving.h). */
-    ShedPolicy shed_policy = ShedPolicy::RejectNew;
-
-    // ------------------------------------------------- reliability
-    /** Per-invocation watchdog (one prefill or one decode step); 0
-     *  disables. Must exceed the worst honest invocation latency. */
-    std::chrono::microseconds watchdog_timeout{0};
-    /** Deterministic fault injection (tests only; non-owning). */
-    const FaultPlan *fault_plan = nullptr;
 };
 
-/** Counters observing the continuous scheduler. */
-struct GenerationStats
+/** Counters observing the continuous scheduler; the shared counters
+ *  and execution identity are the ReliabilityStats base. */
+struct GenerationStats : ReliabilityStats
 {
-    std::size_t requests = 0;   ///< prompts admitted by submit()
-    std::size_t completed = 0;  ///< futures fulfilled with tokens
-    std::size_t failed = 0;     ///< futures failed with an error
-    std::size_t rejected = 0;   ///< QueueFull rejections (never queued)
-    /** Queued requests evicted by DropExpiredFirst (subset of failed,
-     *  disjoint from expired_in_queue). */
-    std::size_t shed = 0;
-    /** Failed with DeadlineExceeded before any model time: expired at
-     *  submit or by the time the scheduler reached them. */
-    std::size_t expired_in_queue = 0;
     /** Live sequences evicted because their deadline passed between
      *  decode steps (tokens generated so far are discarded). */
     std::size_t expired_mid_decode = 0;
-    std::size_t model_faults = 0;      ///< sequences failed ModelFault
-    std::size_t isolation_retries = 0; ///< faulted invocations isolated
-    std::size_t watchdog_fired = 0;    ///< stuck invocations cancelled
     std::size_t prefill_batches = 0;   ///< batched prefill invocations
     std::size_t steps = 0;             ///< decode step invocations
     std::size_t prefill_tokens = 0;    ///< prompt tokens prefilled
@@ -194,30 +164,28 @@ class GenerationEngine
         int next_input = 0; ///< newest token, fed to the next step
     };
 
-    struct WatchdogArm;
-
     void schedulerLoop();
-    void watchdogLoop();
 
-    /** One guarded generator invocation: watchdog + cancel scope +
-     *  injected delay/stall/fault (keyed on the shared invocation
-     *  counter / the members' admission indices). */
-    Tensor invokeGuarded(const std::function<Tensor()> &fn, bool stall,
-                         const std::string *injected_fault);
+    /**
+     * One batched invocation over @p seqs - a ragged prefill of fresh
+     * sequences (@p prefill) or a decode step of live ones - guarded by
+     * the core and keyed on the shared invocation counter. Survivors
+     * that still have tokens to generate move to @p keep; the resolved
+     * rest are released on return. A cancelled invocation fails every
+     * member; any other fault rolls each K/V cache back to its
+     * pre-invocation length and retries each sequence alone, so only
+     * the poisoned one fails.
+     */
+    void invoke(std::vector<Live> seqs, std::vector<Live> &keep,
+                bool prefill);
 
-    /** Batched ragged prefill of newly admitted requests, appending
-     *  the survivors to @p live (first token sampled and streamed).
-     *  A faulted batch is rolled back and isolated per sequence. */
-    void prefillAdmitted(std::vector<GenRequest> reqs,
-                         std::vector<Live> &live);
+    /** The generator call of invoke() over @p seqs. */
+    Tensor forward(std::span<Live> seqs, bool prefill);
 
-    /** One decode step over the live set; faulted steps roll back and
-     *  isolate per sequence. Completed/faulted sequences leave. */
-    void stepLive(std::vector<Live> &live);
-
-    /** Deliver @p tok into @p seq (generated list + callback); returns
-     *  false when the callback threw (the sequence is failed). */
-    bool deliverToken(Live &seq, int tok);
+    /** Deliver @p tok into @p seq (counter, generated list, callback),
+     *  then complete it or move it to @p keep. A throwing callback
+     *  fails the sequence instead. */
+    void advance(Live &seq, int tok, std::vector<Live> &keep);
 
     /** True when @p seq has everything it asked for (EOS, max_new, or
      *  the positional table is exhausted). */
@@ -230,17 +198,18 @@ class GenerationEngine
     /** Fail one sequence/request (stats under mu_ first). */
     void failSeq(GenRequest &req, const Error &err, bool mid_decode);
 
+    /** DropExpiredFirst shed pass (mu_ held): fail + evict expired
+     *  queued requests. */
+    void shedExpiredLocked(Deadline now);
+
     /** Fail every queued request with ShuttingDown (mu_ held). */
     void failQueuedLocked();
 
-    /** The Error a cancelled invocation maps to (serving.cc). */
-    Error cancelCause() const;
-
     CausalGenerator &gen_;
     GenerationConfig cfg_;
-    /** Declared before the thread members: released by member
-     *  destruction even when the constructor throws mid-way. */
-    detail::WorkspaceCapLease ws_cap_lease_;
+    /** Admission, watchdog, guarded invocation; declared before the
+     *  scheduler so it outlives every invocation. */
+    ReliabilityCore core_;
 
     mutable std::mutex mu_;
     std::condition_variable work_cv_; ///< wakes the scheduler
@@ -255,17 +224,6 @@ class GenerationEngine
     bool draining_ = false;
     GenerationStats stats_;
 
-    std::atomic<bool> abandon_{false};
-
-    // Watchdog state (serving.cc's scheme; lock order mu_ -> wd_mu_).
-    std::mutex wd_mu_;
-    std::condition_variable wd_cv_;
-    runtime::CancelToken *wd_token_ = nullptr;
-    RequestBatcher::Clock::time_point wd_started_{};
-    bool wd_fired_ = false;
-    bool wd_stop_ = false;
-
-    std::thread watchdog_;
     std::thread scheduler_; ///< last member: starts fully-initialised
 };
 

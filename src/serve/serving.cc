@@ -5,107 +5,12 @@
 #include <string>
 #include <utility>
 
-#include "runtime/autotune.h"
-#include "runtime/isa.h"
-#include "runtime/workspace.h"
-
 namespace fabnet {
 namespace serve {
 
-namespace {
-
-/**
- * Process-wide registry of engine-installed workspace caps. With
- * overlapping engine lifetimes the tightest active cap wins (safe for
- * all of them - a tighter cap only trades reallocation for footprint),
- * and the pre-existing policy is restored only when the last engine
- * goes away.
- */
-class WorkspaceCapRegistry
-{
-  public:
-    void install(std::size_t cap)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (caps_.empty())
-            baseline_ = runtime::workspaceCapBytes();
-        caps_.insert(cap);
-        runtime::setWorkspaceCapBytes(*caps_.begin());
-    }
-    void remove(std::size_t cap)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        caps_.erase(caps_.find(cap));
-        runtime::setWorkspaceCapBytes(caps_.empty() ? baseline_
-                                                    : *caps_.begin());
-    }
-
-  private:
-    std::mutex mu_;
-    std::multiset<std::size_t> caps_;
-    std::size_t baseline_ = 0;
-};
-
-WorkspaceCapRegistry g_cap_registry;
-
-/** Map an invocation failure to the typed error its rows fail with:
- *  injected faults are already serve::Error and pass through, real
- *  model exceptions are wrapped as ModelFault keeping their message. */
-Error
-modelFaultFrom(std::exception_ptr ep)
-{
-    try {
-        std::rethrow_exception(ep);
-    } catch (const Error &e) {
-        return e;
-    } catch (const std::exception &e) {
-        return Error(ErrorCode::ModelFault, e.what());
-    } catch (...) {
-        return Error(ErrorCode::ModelFault, "unknown model exception");
-    }
-}
-
-} // namespace
-
-namespace detail {
-
-void
-installWorkspaceCap(std::size_t cap)
-{
-    g_cap_registry.install(cap);
-}
-
-void
-removeWorkspaceCap(std::size_t cap)
-{
-    g_cap_registry.remove(cap);
-}
-
-} // namespace detail
-
-/** Registers the in-flight invocation's cancel token and start time
- *  with the watchdog for the duration of the model call (RAII). */
-struct ServingEngine::WatchdogArm
-{
-    ServingEngine &e;
-    WatchdogArm(ServingEngine &eng, runtime::CancelToken &tok) : e(eng)
-    {
-        std::lock_guard<std::mutex> lk(e.wd_mu_);
-        e.wd_token_ = &tok;
-        e.wd_started_ = RequestBatcher::Clock::now();
-        e.wd_fired_ = false;
-        e.wd_cv_.notify_all();
-    }
-    ~WatchdogArm()
-    {
-        std::lock_guard<std::mutex> lk(e.wd_mu_);
-        e.wd_token_ = nullptr;
-        e.wd_cv_.notify_all();
-    }
-};
-
 ServingEngine::ServingEngine(SequenceClassifier &model, ServingConfig cfg)
     : model_(model), cfg_(cfg),
+      core_(cfg_, model.config().max_seq, "ServingEngine"),
       batcher_(cfg.max_batch, cfg.bucket_granularity,
                model.config().max_seq)
 {
@@ -124,17 +29,6 @@ ServingEngine::ServingEngine(SequenceClassifier &model, ServingConfig cfg)
             "bucket_granularity == 1 (padding-free buckets), or set "
             "ServingConfig::allow_unmasked_mixers to serve anyway, "
             "forfeiting per-request determinism.");
-    if (cfg_.max_queue_tokens != 0 &&
-        cfg_.max_queue_tokens < model_.config().max_seq)
-        throw std::invalid_argument(
-            "ServingEngine: max_queue_tokens below max_seq would make "
-            "some valid requests permanently inadmissible");
-    // RAII member lease: survives a throwing std::thread constructor
-    // below (the engine destructor would not run, the member's would).
-    ws_cap_lease_ =
-        detail::WorkspaceCapLease(cfg_.workspace_cap_bytes);
-    if (cfg_.watchdog_timeout.count() > 0)
-        watchdog_ = std::thread([this] { watchdogLoop(); });
     dispatcher_ = std::thread([this] { dispatchLoop(); });
 }
 
@@ -151,15 +45,7 @@ ServingEngine::~ServingEngine()
         idle_cv_.notify_all();
     }
     dispatcher_.join();
-    if (watchdog_.joinable()) {
-        {
-            std::lock_guard<std::mutex> wl(wd_mu_);
-            wd_stop_ = true;
-            wd_cv_.notify_all();
-        }
-        watchdog_.join();
-    }
-    // ws_cap_lease_ releases the workspace cap via member destruction.
+    // core_ then stops the watchdog and releases the workspace cap.
 }
 
 std::future<std::vector<float>>
@@ -177,38 +63,10 @@ ServingEngine::enqueueLocked(std::vector<int> tokens, Deadline deadline,
     } catch (const std::invalid_argument &e) {
         throw Error(ErrorCode::InvalidRequest, e.what());
     }
-    const FaultPlan *plan = cfg_.fault_plan;
-    if (plan && plan->requestFault(admission_index,
-                                   FaultPlan::Stage::Admission))
-        throw Error(ErrorCode::InvalidRequest,
-                    "injected admission fault (request #" +
-                        std::to_string(admission_index) + ")");
-    const auto now = RequestBatcher::Clock::now();
-    if (deadline != kNoDeadline && deadline <= now) {
-        ++stats_.expired_in_queue;
-        throw Error(ErrorCode::DeadlineExceeded,
-                    "deadline already expired at submit");
-    }
-    if (enforce_bounds) {
-        const auto over = [&] {
-            return (cfg_.max_queue_requests != 0 &&
-                    batcher_.size() >= cfg_.max_queue_requests) ||
-                   (cfg_.max_queue_tokens != 0 &&
-                    queued_tokens_ + tokens.size() >
-                        cfg_.max_queue_tokens);
-        };
-        if (over() && cfg_.shed_policy == ShedPolicy::DropExpiredFirst)
-            shedExpiredLocked(now);
-        if (over()) {
-            ++stats_.rejected;
-            throw Error(ErrorCode::QueueFull,
-                        "admission queue full (" +
-                            std::to_string(batcher_.size()) +
-                            " requests / " +
-                            std::to_string(queued_tokens_) +
-                            " tokens queued)");
-        }
-    }
+    const auto now = core_.admit(
+        admission_index, deadline, tokens.size(), enforce_bounds, stats_,
+        [this] { return std::pair(batcher_.size(), queued_tokens_); },
+        [this](Deadline t) { shedExpiredLocked(t); });
     const std::uint64_t id = next_id_++;
     batcher_.push(id, tokens.size(), now);
     outstanding_.insert(id);
@@ -459,18 +317,11 @@ ServingEngine::shutdown(Deadline deadline)
     }
     if (idle_cv_.wait_until(lk, deadline, all_resolved))
         return;
-    // Deadline passed: fail everything still queued, cooperatively
-    // cancel the in-flight invocation (its rows fail with
-    // ShuttingDown via cancelCause), and wait for the last group to
-    // unwind. abandon_ is set first so a Cancelled invocation - and
-    // one that arms after this point - attributes to shutdown.
-    abandon_.store(true, std::memory_order_release);
+    // Deadline passed: cooperatively cancel the in-flight invocation
+    // (its rows fail with ShuttingDown), fail everything still queued,
+    // and wait for the last group to unwind.
+    core_.abandon();
     failQueuedLocked();
-    {
-        std::lock_guard<std::mutex> wl(wd_mu_);
-        if (wd_token_)
-            wd_token_->cancel();
-    }
     idle_cv_.wait(lk, all_resolved);
 }
 
@@ -483,26 +334,17 @@ ServingEngine::bucketLen(std::size_t len) const
 ServingStats
 ServingEngine::stats() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    ServingStats out = stats_;
-    out.isa = runtime::isa();
-    out.cpu_signature = runtime::cpuSignature();
-    out.tuning = runtime::tuningReport();
+    ServingStats out;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        out = stats_;
+    }
+    core_.stamp(out);
     return out;
 }
 
-Error
-ServingEngine::cancelCause() const
-{
-    return abandon_.load(std::memory_order_acquire)
-               ? Error(ErrorCode::ShuttingDown,
-                       "invocation cancelled at the shutdown deadline")
-               : Error(ErrorCode::ModelFault,
-                       "watchdog cancelled a stuck model invocation");
-}
-
 void
-ServingEngine::failGroup(std::vector<Pending> &reqs, const Error &err)
+ServingEngine::failGroup(std::span<Pending> reqs, const Error &err)
 {
     // Count the failures BEFORE the futures become ready (same
     // publication order as the success path).
@@ -521,37 +363,14 @@ Tensor
 ServingEngine::invokeModel(const std::vector<int> &tokens,
                            std::size_t bsz, std::size_t seq,
                            const std::vector<std::size_t> &lens,
-                           bool stall, const std::string *injected_fault)
+                           bool stall, const std::string &fault)
 {
     // The model is single-user (layer caches); the dispatcher, inline
     // serveAll() callers and isolation retries serialise here.
     std::lock_guard<std::mutex> model_lock(model_mu_);
-    runtime::CancelToken cancel;
-    WatchdogArm arm(*this, cancel);
-    runtime::CancelScope scope(cancel);
-    // A shutdown deadline that passed while we waited for the model
-    // mutex cancels this invocation before any work is done.
-    if (abandon_.load(std::memory_order_acquire))
-        cancel.cancel();
-    if (stall) {
-        // Injected stall: spin until the watchdog (or a shutdown
-        // deadline) cancels us; the safety bound turns a missing
-        // watchdog into a loud ModelFault instead of a hung test.
-        const auto start = RequestBatcher::Clock::now();
-        for (;;) {
-            if (cancel.cancelled())
-                throw runtime::Cancelled{};
-            if (RequestBatcher::Clock::now() - start >
-                std::chrono::seconds(10))
-                throw Error(ErrorCode::ModelFault,
-                            "injected stall hit its 10s safety bound "
-                            "(no watchdog cancelled it)");
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-    }
-    if (injected_fault)
-        throw Error(ErrorCode::ModelFault, *injected_fault);
-    return model_.forwardBatch(tokens, bsz, seq, lens);
+    return core_.guard(
+        [&] { return model_.forwardBatch(tokens, bsz, seq, lens); }, stall,
+        fault);
 }
 
 void
@@ -560,27 +379,17 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
     std::vector<Pending> &reqs = claimed.reqs;
     const std::size_t bsz = reqs.size();
     const std::size_t seq = group.padded_len;
-    const FaultPlan *plan = cfg_.fault_plan;
-
-    if (plan) {
-        const std::chrono::microseconds d =
-            plan->batchDelay(claimed.dispatch_index);
-        if (d.count() > 0)
-            std::this_thread::sleep_for(d);
-    }
+    core_.delay(claimed.dispatch_index);
 
     std::vector<int> tokens(bsz * seq, cfg_.pad_token);
     std::vector<std::size_t> lens(bsz);
-    std::string injected;
+    std::string fault;
     for (std::size_t i = 0; i < bsz; ++i) {
         lens[i] = reqs[i].tokens.size();
         std::copy(reqs[i].tokens.begin(), reqs[i].tokens.end(),
                   tokens.begin() + i * seq);
-        if (plan && injected.empty() &&
-            plan->requestFault(reqs[i].admission_index,
-                               FaultPlan::Stage::Model))
-            injected = "injected model fault (request #" +
-                       std::to_string(reqs[i].admission_index) + ")";
+        if (fault.empty())
+            fault = core_.injectedFault(reqs[i].admission_index);
     }
 
     // Build every result before fulfilling any promise, so the catch
@@ -590,8 +399,7 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
     try {
         const Tensor logits =
             invokeModel(tokens, bsz, seq, lens,
-                        plan && plan->batchStalls(claimed.dispatch_index),
-                        injected.empty() ? nullptr : &injected);
+                        core_.stalls(claimed.dispatch_index), fault);
         const std::size_t classes = logits.dim(1);
         outs.reserve(bsz);
         for (std::size_t i = 0; i < bsz; ++i) {
@@ -602,12 +410,12 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
         // Watchdog / shutdown-deadline cancellation fails the whole
         // group: the invocation never finished, so there is no row to
         // salvage, and re-running a stuck batch would stick again.
-        failGroup(reqs, cancelCause());
+        failGroup(reqs, core_.cancelCause());
         return;
     } catch (...) {
         if (bsz == 1) {
             // Already a 1-row batch: the fault belongs to this row.
-            failGroup(reqs, modelFaultFrom(std::current_exception()));
+            failGroup(reqs, core_.failure(std::current_exception()));
             return;
         }
         // Per-request fault isolation: one bounded per-row pass so the
@@ -668,7 +476,6 @@ ServingEngine::isolateRows(std::vector<Pending> reqs)
         std::lock_guard<std::mutex> guard(mu_);
         ++stats_.isolation_retries;
     }
-    const FaultPlan *plan = cfg_.fault_plan;
     for (Pending &p : reqs) {
         const auto now = RequestBatcher::Clock::now();
         if (p.deadline != kNoDeadline && p.deadline <= now) {
@@ -682,23 +489,16 @@ ServingEngine::isolateRows(std::vector<Pending> reqs)
                 "deadline passed during fault isolation")));
             continue;
         }
-        std::string injected;
-        // Model faults are sticky (serve/fault.h): an injected fault
-        // fires in the isolation pass too, so the poisoned row fails
-        // here instead of silently succeeding on retry.
-        if (plan && plan->requestFault(p.admission_index,
-                                       FaultPlan::Stage::Model))
-            injected = "injected model fault (request #" +
-                       std::to_string(p.admission_index) + ")";
         const std::size_t len = p.tokens.size();
         try {
             // A 1-row batch at the row's own length: bitwise equal to
             // the row's batched result by the engine's determinism
             // guarantee, so survivors of a poisoned batch see logits
-            // identical to a fault-free run.
-            const Tensor logits = invokeModel(
-                p.tokens, 1, len, {len}, false,
-                injected.empty() ? nullptr : &injected);
+            // identical to a fault-free run. Model faults are sticky
+            // (serve/fault.h): the poisoned row fails here again.
+            const Tensor logits =
+                invokeModel(p.tokens, 1, len, {len}, false,
+                            core_.injectedFault(p.admission_index));
             const std::size_t classes = logits.dim(1);
             std::vector<float> out(logits.data(),
                                    logits.data() + classes);
@@ -710,24 +510,8 @@ ServingEngine::isolateRows(std::vector<Pending> reqs)
                 stats_.tight_tokens += len;
             }
             p.promise.set_value(std::move(out));
-        } catch (const runtime::Cancelled &) {
-            const Error err = cancelCause();
-            {
-                std::lock_guard<std::mutex> guard(mu_);
-                ++stats_.failed;
-                if (err.code() == ErrorCode::ModelFault)
-                    ++stats_.model_faults;
-            }
-            p.promise.set_exception(std::make_exception_ptr(err));
         } catch (...) {
-            const Error err = modelFaultFrom(std::current_exception());
-            {
-                std::lock_guard<std::mutex> guard(mu_);
-                ++stats_.failed;
-                if (err.code() == ErrorCode::ModelFault)
-                    ++stats_.model_faults;
-            }
-            p.promise.set_exception(std::make_exception_ptr(err));
+            failGroup({&p, 1}, core_.failure(std::current_exception()));
         }
     }
 }
@@ -862,36 +646,6 @@ ServingEngine::finishGroupLocked(const BatchGroup &group)
     for (std::uint64_t id : group.ids)
         outstanding_.erase(id);
     idle_cv_.notify_all(); // flush()/serveAll() waiters re-check
-}
-
-void
-ServingEngine::watchdogLoop()
-{
-    std::unique_lock<std::mutex> wl(wd_mu_);
-    for (;;) {
-        if (wd_stop_)
-            return;
-        if (!wd_token_ || wd_fired_) {
-            wd_cv_.wait(wl);
-            continue;
-        }
-        const auto fire_at = wd_started_ + cfg_.watchdog_timeout;
-        if (RequestBatcher::Clock::now() >= fire_at) {
-            // The token lives on the invoking thread's stack, but
-            // deregistration takes wd_mu_, so it cannot die while we
-            // hold the lock.
-            wd_token_->cancel();
-            wd_fired_ = true;
-            wl.unlock();
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                ++stats_.watchdog_fired;
-            }
-            wl.lock();
-            continue;
-        }
-        wd_cv_.wait_until(wl, fire_at);
-    }
 }
 
 } // namespace serve

@@ -31,7 +31,9 @@
  * between parallelFor grain chunks and encoder blocks), and
  * shutdown(Deadline) drains in-flight work then fails the remainder
  * with ShuttingDown. serve/fault.h injects every one of these paths
- * deterministically (`ctest -L fault`).
+ * deterministically (`ctest -L fault`). The mechanism is the
+ * ReliabilityCore both engines share (serve/reliability.h); this
+ * engine adds only its bucketed scheduling policy.
  *
  * ## Threading model
  * A dispatcher thread serves submit() traffic, and serveAll() callers
@@ -64,13 +66,13 @@
 #ifndef FABNET_SERVE_SERVING_H
 #define FABNET_SERVE_SERVING_H
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -78,134 +80,17 @@
 #include <vector>
 
 #include "model/classifier.h"
-#include "runtime/parallel.h"
 #include "serve/batcher.h"
 #include "serve/error.h"
-#include "serve/fault.h"
+#include "serve/reliability.h"
 
 namespace fabnet {
 namespace serve {
 
-namespace detail {
-/**
- * Process-wide engine-shared workspace-cap registry (serving.cc): the
- * tightest active cap wins, and the pre-existing policy is restored
- * when the last engine removes its cap. Used by every serve-side
- * engine (ServingEngine, GenerationEngine).
- */
-void installWorkspaceCap(std::size_t cap);
-void removeWorkspaceCap(std::size_t cap);
-
-/**
- * RAII lease on the cap registry. Engines hold one as a data member
- * declared BEFORE their worker-thread members: if anything later in
- * construction throws (std::thread can raise std::system_error), the
- * already-constructed lease member is destroyed and the cap comes back
- * out of the registry - the engine destructor never runs for a
- * partially constructed object, so a plain install-in-ctor /
- * remove-in-dtor pair would leak the process-wide cap on exactly that
- * path. A zero cap is a no-op lease.
- */
-class WorkspaceCapLease
-{
-  public:
-    WorkspaceCapLease() = default;
-    explicit WorkspaceCapLease(std::size_t cap) : cap_(cap)
-    {
-        if (cap_ != 0)
-            installWorkspaceCap(cap_);
-    }
-    WorkspaceCapLease(WorkspaceCapLease &&o) noexcept : cap_(o.cap_)
-    {
-        o.cap_ = 0;
-    }
-    WorkspaceCapLease &operator=(WorkspaceCapLease &&o) noexcept
-    {
-        if (this != &o) {
-            release();
-            cap_ = o.cap_;
-            o.cap_ = 0;
-        }
-        return *this;
-    }
-    WorkspaceCapLease(const WorkspaceCapLease &) = delete;
-    WorkspaceCapLease &operator=(const WorkspaceCapLease &) = delete;
-    ~WorkspaceCapLease() { release(); }
-
-  private:
-    void release()
-    {
-        if (cap_ != 0) {
-            removeWorkspaceCap(cap_);
-            cap_ = 0;
-        }
-    }
-    std::size_t cap_ = 0;
-};
-} // namespace detail
-
-/**
- * Absolute per-request deadline on the batcher's steady clock.
- * kNoDeadline (the default everywhere) disables deadline handling for
- * that request entirely.
- */
-using Deadline = RequestBatcher::Clock::time_point;
-
-/** "No deadline": requests carrying this value never expire. */
-inline constexpr Deadline kNoDeadline = Deadline::max();
-
-/**
- * Deadline @p d from now (submit(tokens, deadlineAfter(50ms))).
- *
- * Saturating: `now + d` is evaluated in a wide floating representation
- * of the clock's period, so a huge duration (hours(1 << 20),
- * microseconds::max(), duration::max() of any unit) can never overflow
- * the steady_clock rep into a long-PAST deadline that expires every
- * request instantly. Anything that would land at or beyond
- * kNoDeadline saturates TO kNoDeadline - "further out than the clock
- * can represent" and "no deadline" are operationally identical.
- * Negative durations symmetrically saturate to the clock's minimum
- * (an already-expired deadline, as expected).
- */
-template <class Rep, class Period>
-inline Deadline
-deadlineAfter(std::chrono::duration<Rep, Period> d)
-{
-    using ClockDur = RequestBatcher::Clock::duration;
-    using Wide = std::chrono::duration<long double, ClockDur::period>;
-    const Deadline now = RequestBatcher::Clock::now();
-    // All three values in units of the clock period, as long double
-    // (80/128-bit: exact for any rep the comparison needs to rank).
-    const long double now_ticks =
-        static_cast<long double>(now.time_since_epoch().count());
-    const long double want_ticks =
-        std::chrono::duration_cast<Wide>(d).count();
-    const long double max_ticks = static_cast<long double>(
-        kNoDeadline.time_since_epoch().count());
-    const long double min_ticks = static_cast<long double>(
-        Deadline::min().time_since_epoch().count());
-    if (want_ticks >= max_ticks - now_ticks)
-        return kNoDeadline;
-    if (want_ticks <= min_ticks - now_ticks)
-        return Deadline::min();
-    return now + std::chrono::duration_cast<ClockDur>(d);
-}
-
-/** What bounded admission does when the queue caps are hit. */
-enum class ShedPolicy {
-    /** Reject the NEW request with Error{QueueFull}. Queued requests
-     *  are never touched - strict FIFO fairness. */
-    RejectNew,
-    /** First shed queued requests whose deadline has already expired
-     *  (they are failed with Error{DeadlineExceeded} - they could
-     *  never be served in time anyway), then admit if that made room,
-     *  else reject with Error{QueueFull}. Under overload this spends
-     *  the queue on requests that can still meet their deadline. */
-    DropExpiredFirst,
-};
-
-/** Batching/flush/robustness policy knobs. */
-struct ServingConfig
+/** Batching/flush policy knobs; the robustness knobs (bounded
+ *  admission, watchdog, fault plan, workspace cap) are the shared
+ *  ReliabilityConfig base (serve/reliability.h). */
+struct ServingConfig : ReliabilityConfig
 {
     /** Flush a bucket as soon as it holds this many requests. */
     std::size_t max_batch = 8;
@@ -216,11 +101,6 @@ struct ServingConfig
     /** Token id used for padding (must be a valid vocab id). */
     int pad_token = 0;
     /**
-     * Retention cap installed on the runtime's per-thread kernel
-     * scratch while the engine lives (0 = leave the policy as-is).
-     */
-    std::size_t workspace_cap_bytes = 4u << 20;
-    /**
      * Layers without a masked form (Fourier mixers: FNet / FABNet
      * FBfly blocks) produce served logits that depend on the padded
      * length a request is bucketed at. The constructor rejects such
@@ -230,61 +110,12 @@ struct ServingConfig
      * per-request determinism guarantee.
      */
     bool allow_unmasked_mixers = false;
-
-    // ------------------------------------------- bounded admission
-    /**
-     * Maximum queued (admitted, not yet claimed) requests submit()
-     * will accept; 0 = unbounded. Over the cap the shed policy runs,
-     * then Error{QueueFull} is thrown. serveAll() is exempt: it is
-     * synchronous and self-draining, so the caller IS the
-     * backpressure.
-     */
-    std::size_t max_queue_requests = 0;
-    /**
-     * Cap on the total queued request tokens (the byte-proportional
-     * bound: admitting a request that would push the queued token sum
-     * over this cap triggers the shed policy / QueueFull). 0 =
-     * unbounded. Must exceed max_seq to be satisfiable.
-     */
-    std::size_t max_queue_tokens = 0;
-    /** What to do when a cap is hit. */
-    ShedPolicy shed_policy = ShedPolicy::RejectNew;
-
-    // ------------------------------------------------- reliability
-    /**
-     * Watchdog: a model invocation still running after this long is
-     * cancelled (cooperatively, between parallelFor grain chunks /
-     * encoder blocks) and its group failed with Error{ModelFault}
-     * instead of hanging every affected future. 0 disables the
-     * watchdog (no extra thread is started). The timeout must
-     * comfortably exceed the worst honest batch latency.
-     */
-    std::chrono::microseconds watchdog_timeout{0};
-    /**
-     * Deterministic fault-injection schedule (tests only; see
-     * serve/fault.h). Non-owning - must outlive the engine. Null in
-     * production: every hook is then a branch on a null pointer.
-     */
-    const FaultPlan *fault_plan = nullptr;
 };
 
-/** Counters for observing the batching + shedding behaviour. */
-struct ServingStats
+/** Counters for observing the batching behaviour; the shared
+ *  counters and execution identity are the ReliabilityStats base. */
+struct ServingStats : ReliabilityStats
 {
-    // -------------------------------------------- runtime identity
-    /** Kernel variant the runtime dispatcher selected at startup
-     *  (runtime::isa()): "scalar", "avx2", "avx512", "avx512vnni". */
-    std::string isa;
-    /** CPU brand + feature signature (runtime::cpuSignature()); keys
-     *  the autotuner's on-disk plan cache. */
-    std::string cpu_signature;
-    /** Autotuner state snapshot (runtime::tuningReport()): JSON with
-     *  every tuned (shape, threads) -> (tile, grain) entry. */
-    std::string tuning;
-
-    std::size_t requests = 0;        ///< admitted by submit()/serveAll()
-    std::size_t completed = 0;       ///< futures fulfilled with logits
-    std::size_t failed = 0;          ///< futures failed with an error
     std::size_t batches = 0;         ///< groups dispatched to the model
     std::size_t flushed_full = 0;    ///< batches from a full bucket
     std::size_t flushed_timeout = 0; ///< batches from max_wait expiry
@@ -301,30 +132,9 @@ struct ServingStats
      *  real positions of batches served down the ragged path; 0 when
      *  the model is not maskable or ragged execution is disabled). */
     std::size_t rows_skipped = 0;
-
-    // ------------------------------------ backpressure / reliability
-    /** submit() attempts rejected with Error{QueueFull} (these never
-     *  count in `requests`). */
-    std::size_t rejected = 0;
-    /** Queued requests evicted by ShedPolicy::DropExpiredFirst to
-     *  make room (failed with DeadlineExceeded; subset of `failed`,
-     *  disjoint from expired_in_queue). */
-    std::size_t shed = 0;
-    /** Requests failed with DeadlineExceeded BEFORE any model time
-     *  was spent on them: already expired at submit, or expired by
-     *  the time their group was claimed. */
-    std::size_t expired_in_queue = 0;
     /** Requests whose deadline passed while their batch was executing
      *  (the computed logits are discarded). */
     std::size_t expired_mid_batch = 0;
-    /** Rows failed with Error{ModelFault} (poisoned rows, watchdog-
-     *  cancelled invocations). */
-    std::size_t model_faults = 0;
-    /** Groups whose first invocation failed and took the bounded
-     *  per-row isolation pass (each row re-run exactly once). */
-    std::size_t isolation_retries = 0;
-    /** Times the watchdog cancelled a stuck model invocation. */
-    std::size_t watchdog_fired = 0;
     /** Batches flushed early because a queued member's deadline would
      *  have expired inside the normal max_wait window (the dispatcher
      *  re-arms its wait on every arrival, so a near-deadline request
@@ -467,11 +277,7 @@ class ServingEngine
         std::size_t dispatch_index = 0;
     };
 
-    /** Registers the in-flight invocation with the watchdog (RAII). */
-    struct WatchdogArm;
-
     void dispatchLoop();
-    void watchdogLoop();
 
     /**
      * Serve one claimed group: counts completed/failed (and token
@@ -483,15 +289,15 @@ class ServingEngine
     void runGroup(const BatchGroup &group, ClaimedGroup claimed);
 
     /**
-     * One model invocation under the model mutex, armed with the
-     * watchdog + cancellation scope and the fault-injection hooks
-     * (stall, injected row fault). Throws runtime::Cancelled when the
-     * watchdog or a shutdown deadline fires mid-invocation.
+     * One model invocation under the model mutex, guarded by the core
+     * (watchdog, cancellation scope, injected stall / row @p fault).
+     * Throws runtime::Cancelled when the watchdog or a shutdown
+     * deadline fires mid-invocation.
      */
     Tensor invokeModel(const std::vector<int> &tokens, std::size_t bsz,
                        std::size_t seq,
                        const std::vector<std::size_t> &lens, bool stall,
-                       const std::string *injected_fault);
+                       const std::string &fault);
 
     /** Bounded per-row retry after a group's invocation failed: each
      *  surviving row is re-run exactly once as a 1-row batch (bitwise
@@ -499,14 +305,9 @@ class ServingEngine
      *  guarantee); the poisoned rows alone fail with ModelFault. */
     void isolateRows(std::vector<Pending> reqs);
 
-    /** The Error a cancelled invocation maps to (ShuttingDown when a
-     *  shutdown deadline triggered the cancel, else watchdog
-     *  ModelFault). */
-    Error cancelCause() const;
-
     /** Fail every member of @p reqs with @p err (stats under mu_
      *  first, then the futures). */
-    void failGroup(std::vector<Pending> &reqs, const Error &err);
+    void failGroup(std::span<Pending> reqs, const Error &err);
 
     /** Enqueue one request (mu_ held); returns its logits future.
      *  @p enforce_bounds applies the admission caps (submit path). */
@@ -530,9 +331,9 @@ class ServingEngine
     SequenceClassifier &model_;
     std::mutex model_mu_; ///< serialises forwardBatch invocations
     ServingConfig cfg_;
-    /** Declared before the thread members: released by member
-     *  destruction even when the constructor throws mid-way. */
-    detail::WorkspaceCapLease ws_cap_lease_;
+    /** Admission, watchdog, guarded invocation; declared before the
+     *  dispatcher so it outlives every invocation. */
+    ReliabilityCore core_;
 
     mutable std::mutex mu_;
     std::condition_variable work_cv_; ///< wakes the dispatcher
@@ -569,22 +370,6 @@ class ServingEngine
     std::uint64_t flush_watermark_ = 0; ///< max watermark of waiters
     ServingStats stats_;
 
-    /** Set once a shutdown deadline passed: a Cancelled invocation is
-     *  then attributed to ShuttingDown, not the watchdog. */
-    std::atomic<bool> abandon_{false};
-
-    // Watchdog state (wd_mu_ - kept off the request path's mu_).
-    // Lock order: model_mu_ -> wd_mu_ (arming), and wd_mu_ is never
-    // held while taking mu_ or model_mu_ except in shutdown(), whose
-    // mu_ -> wd_mu_ order is safe because no path takes wd_mu_ -> mu_.
-    std::mutex wd_mu_;
-    std::condition_variable wd_cv_;
-    runtime::CancelToken *wd_token_ = nullptr; ///< in-flight invocation
-    RequestBatcher::Clock::time_point wd_started_{};
-    bool wd_fired_ = false; ///< fired for the current invocation
-    bool wd_stop_ = false;
-
-    std::thread watchdog_;   ///< only started when watchdog_timeout > 0
     std::thread dispatcher_; ///< last member: starts fully-initialised
 };
 

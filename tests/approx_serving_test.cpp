@@ -43,6 +43,7 @@ using serve::ServingEngine;
 using testutil::bitwiseEqual;
 using testutil::forEachThreadCount;
 using testutil::makeRequests;
+using testutil::referenceGreedy;
 using testutil::serveSerial;
 
 /** Attention-mixer classifier config with the given sparse setting. */
@@ -82,22 +83,6 @@ approxKinds()
     return {{SparseKind::TopK, 6},
             {SparseKind::Butterfly, 0},
             {SparseKind::ButterflyTopK, 3}};
-}
-
-/** Greedy reference: tokens a solo full-recompute loop generates. */
-std::vector<int>
-referenceGreedy(CausalGenerator &gen, std::vector<int> seq,
-                std::size_t max_new)
-{
-    std::vector<int> out;
-    while (out.size() < max_new && seq.size() <= gen.maxSeq()) {
-        const int tok = nn::argmaxRows(gen.forwardFull({seq}))[0];
-        out.push_back(tok);
-        if (seq.size() == gen.maxSeq())
-            break;
-        seq.push_back(tok);
-    }
-    return out;
 }
 
 /** Expect @p fn to throw serve::Error with @p code. */

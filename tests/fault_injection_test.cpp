@@ -443,6 +443,35 @@ TEST_F(FaultInjectionTest, WatchdogCancelsStalledInvocation)
     EXPECT_EQ(f3.get().size(), cfg.classes);
 }
 
+TEST_F(FaultInjectionTest, WatchdogFireCountedBeforeFutureFails)
+{
+    // Counters are published before futures become ready: a client
+    // waking from the failed get() already sees the fire counted.
+    const ModelConfig cfg = tinyCfg();
+    Rng rng(62);
+    auto model = buildModel(cfg, rng);
+    constexpr std::size_t kRounds = 20;
+    FaultPlan plan;
+    for (std::size_t i = 0; i < kRounds; ++i)
+        plan.batch_stalls.insert(i);
+    ServingConfig sc;
+    sc.max_batch = 1; // every submit is a full batch, claimed at once
+    sc.watchdog_timeout = std::chrono::milliseconds(2);
+    sc.fault_plan = &plan;
+    ServingEngine engine(*model, sc);
+    for (std::size_t i = 0; i < kRounds; ++i) {
+        auto f = engine.submit({1, 2, 3});
+        // The code is checked through model_faults: under TSan, reading
+        // the caught error here would race with the engine thread
+        // dropping the last reference inside the uninstrumented C++
+        // runtime.
+        EXPECT_THROW(f.get(), Error);
+        const auto st = engine.stats();
+        EXPECT_EQ(st.watchdog_fired, i + 1) << "round " << i;
+        EXPECT_EQ(st.model_faults, i + 1) << "round " << i;
+    }
+}
+
 // -------------------------------------------------- ShuttingDown
 
 TEST_F(FaultInjectionTest, GracefulShutdownDrainsThenRefuses)

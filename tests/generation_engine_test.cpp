@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "model/generator.h"
+#include "runtime/isa.h"
 #include "serve/generation.h"
 #include "test_util.h"
 
@@ -36,6 +37,7 @@ using serve::GenerationStats;
 using serve::kNoDeadline;
 using serve::ShedPolicy;
 using testutil::forEachThreadCount;
+using testutil::referenceGreedy;
 
 ModelConfig
 genCfg()
@@ -52,24 +54,6 @@ genCfg()
     cfg.classes = 2;
     cfg.causal = true;
     return cfg;
-}
-
-/** Greedy reference: tokens a solo full-recompute loop generates. */
-std::vector<int>
-referenceGreedy(CausalGenerator &gen, std::vector<int> seq,
-                std::size_t max_new, int eos = -1)
-{
-    std::vector<int> out;
-    while (out.size() < max_new && seq.size() <= gen.maxSeq()) {
-        const int tok = nn::argmaxRows(gen.forwardFull({seq}))[0];
-        out.push_back(tok);
-        if (eos >= 0 && tok == eos)
-            break;
-        if (seq.size() == gen.maxSeq())
-            break;
-        seq.push_back(tok);
-    }
-    return out;
 }
 
 using GenerationEngineTest = testutil::RuntimeFixture;
@@ -223,6 +207,33 @@ TEST_F(GenerationEngineTest, BoundedAdmissionRejectsAndSheds)
     EXPECT_EQ(st.watchdog_fired, 1u);
     EXPECT_EQ(st.completed, 2u);
     EXPECT_EQ(st.failed, 1u);
+}
+
+TEST_F(GenerationEngineTest, WatchdogFireCountedBeforeFutureFails)
+{
+    // Counters are published before futures become ready: a client
+    // waking from the failed get() already sees the fire counted.
+    Rng rng(54);
+    auto gen = buildGenerator(genCfg(), rng);
+    constexpr std::size_t kRounds = 20;
+    FaultPlan plan;
+    for (std::size_t i = 0; i < kRounds; ++i)
+        plan.batch_stalls.insert(i); // round i's prefill is invocation i
+    GenerationConfig cfg;
+    cfg.watchdog_timeout = std::chrono::milliseconds(2);
+    cfg.fault_plan = &plan;
+    GenerationEngine eng(*gen, cfg);
+    for (std::size_t i = 0; i < kRounds; ++i) {
+        auto f = eng.submit({1, 2, 3}, 2);
+        // The code is checked through model_faults: under TSan, reading
+        // the caught error here would race with the engine thread
+        // dropping the last reference inside the uninstrumented C++
+        // runtime.
+        EXPECT_THROW((void)f.get(), Error);
+        const GenerationStats st = eng.stats();
+        EXPECT_EQ(st.watchdog_fired, i + 1) << "round " << i;
+        EXPECT_EQ(st.model_faults, i + 1) << "round " << i;
+    }
 }
 
 TEST_F(GenerationEngineTest, DropExpiredFirstShedsQueuedExpired)
@@ -397,6 +408,16 @@ TEST_F(GenerationEngineTest, DestructorDrainsGracefully)
     }
     for (auto &f : futs)
         EXPECT_EQ(f.get().size(), 3u);
+}
+
+TEST_F(GenerationEngineTest, StatsCarryExecutionIdentity)
+{
+    Rng rng(55);
+    auto gen = buildGenerator(genCfg(), rng);
+    GenerationEngine eng(*gen);
+    const GenerationStats st = eng.stats();
+    EXPECT_EQ(st.isa, runtime::isa());
+    EXPECT_EQ(st.cpu_signature, runtime::cpuSignature());
 }
 
 TEST_F(GenerationEngineTest, ConcurrentSubmittersStayConsistent)

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "model/builder.h"
+#include "runtime/isa.h"
 #include "runtime/parallel.h"
 #include "runtime/workspace.h"
 #include "serve/batcher.h"
@@ -556,6 +557,17 @@ TEST_F(ServingTest, EngineInstallsAndRestoresWorkspaceCap)
         EXPECT_EQ(workspaceCapBytes(), 2u << 20);
     }
     EXPECT_EQ(workspaceCapBytes(), 0u);
+}
+
+TEST_F(ServingTest, StatsCarryExecutionIdentity)
+{
+    const ModelConfig cfg = tinyCfg(ModelKind::Transformer);
+    Rng rng(39);
+    auto model = buildModel(cfg, rng);
+    ServingEngine engine(*model);
+    const serve::ServingStats st = engine.stats();
+    EXPECT_EQ(st.isa, runtime::isa());
+    EXPECT_EQ(st.cpu_signature, runtime::cpuSignature());
 }
 
 // --------------------------------------- deadline arithmetic hardening

@@ -27,6 +27,8 @@
 #include <vector>
 
 #include "model/classifier.h"
+#include "model/generator.h"
+#include "nn/embedding.h"
 #include "nn/rowset.h"
 #include "runtime/parallel.h"
 #include "runtime/workspace.h"
@@ -480,6 +482,24 @@ serveSerial(SequenceClassifier &model,
     for (const auto &r : reqs) {
         const Tensor logits = model.forward(r, 1, r.size());
         out.emplace_back(logits.data(), logits.data() + logits.size());
+    }
+    return out;
+}
+
+/** Greedy reference: tokens a solo full-recompute loop generates. */
+inline std::vector<int>
+referenceGreedy(CausalGenerator &gen, std::vector<int> seq,
+                std::size_t max_new, int eos = -1)
+{
+    std::vector<int> out;
+    while (out.size() < max_new && seq.size() <= gen.maxSeq()) {
+        const int tok = nn::argmaxRows(gen.forwardFull({seq}))[0];
+        out.push_back(tok);
+        if (eos >= 0 && tok == eos)
+            break;
+        if (seq.size() == gen.maxSeq())
+            break;
+        seq.push_back(tok);
     }
     return out;
 }
