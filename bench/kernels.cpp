@@ -2,13 +2,16 @@
  * @file kernels.cpp
  * google-benchmark microbenchmarks of the numeric kernels underneath
  * the reproduction: FFT, butterfly apply (vs dense matmul), the 2-D
- * Fourier mixer, attention, and the functional hardware datapath.
+ * Fourier mixer, attention, the GELU / softmax rows, and the
+ * functional hardware datapath.
  * These support the latency claims with wall-clock numbers on the
  * host CPU.
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "butterfly/butterfly.h"
 #include "butterfly/fft.h"
@@ -17,6 +20,7 @@
 #include "nn/dense.h"
 #include "runtime/autotune.h"
 #include "runtime/isa.h"
+#include "runtime/kernels.h"
 #include "runtime/parallel.h"
 #include "sim/datapath.h"
 #include "tensor/ops.h"
@@ -269,6 +273,50 @@ BENCHMARK(BM_ButterflyLinearBatchServed)
     ->ArgNames({"rows", "in", "out", "kind"})
     ->ArgsProduct({{1, 4, 30}, {256}, {1024}, {0, 1, 2}})
     ->ArgsProduct({{1, 4, 30}, {1024}, {256}, {0, 1, 2}});
+
+// The transcendental row kernels (runtime::geluRow / softmaxRow) on
+// the dispatched table; FABNET_ISA=scalar|avx2 times the other tables.
+
+static void
+BM_GeluRow(benchmark::State &state)
+{
+    const std::size_t rows = static_cast<std::size_t>(state.range(0));
+    const std::size_t cols = static_cast<std::size_t>(state.range(1));
+    Rng rng(3);
+    const Tensor x = rng.normalTensor({rows, cols});
+    Tensor y(x.shape());
+    for (auto _ : state) {
+        runtime::geluRow(x.data(), y.data(), x.size());
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(runtime::isa());
+}
+BENCHMARK(BM_GeluRow)
+    ->ArgNames({"rows", "cols"})
+    ->Args({1, 1024})
+    ->Args({4, 1024})
+    ->Args({31, 1024})
+    ->Args({2048, 128});
+
+static void
+BM_SoftmaxRow(benchmark::State &state)
+{
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    Rng rng(4);
+    const Tensor scores = rng.normalTensor({n});
+    std::vector<float> row(n);
+    for (auto _ : state) {
+        // In place, so each iteration restarts from the same scores
+        // (the copy is part of the timed work).
+        std::copy(scores.data(), scores.data() + n, row.begin());
+        runtime::softmaxRow(row.data(), n, 0.125f);
+        benchmark::DoNotOptimize(row.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(runtime::isa());
+}
+BENCHMARK(BM_SoftmaxRow)->Arg(32)->Arg(2048);
 
 static void
 BM_AttentionForwardReference(benchmark::State &state)

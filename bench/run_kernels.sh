@@ -25,7 +25,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build}
-FILTER=${FILTER:-'(Matmul|ButterflyBatch|ButterflyLinearBatch|AttentionForward)'}
+FILTER=${FILTER:-'(Matmul|ButterflyBatch|ButterflyLinearBatch|AttentionForward|GeluRow|SoftmaxRow)'}
 
 # Fresh build dirs are configured Release explicitly; an EXISTING dir
 # is configured as-is and the script refuses on mismatch rather than

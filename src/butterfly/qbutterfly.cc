@@ -25,11 +25,24 @@ struct QMatScaleWs; ///< per-row scales
 struct QMatF16Ws;   ///< fp16-representable float activations
 struct QLinWs;      ///< ButterflyLinear padding / core output floats
 
-/** Bias epilogue shared by every QuantizedButterflyLinear path. */
+/** Bias epilogue of the per-element reference path. */
 inline float
 biasEpilogue(QuantKind kind, float v, float b)
 {
     return kind == QuantKind::Fp16 ? roundToHalf(v + b) : v + b;
+}
+
+/** biasEpilogue over one @p n-element span: the adds, then (Fp16) one
+ *  dispatched binary16 row round - F16C's RNE round is roundToHalf's
+ *  (tests/quantize_golden_test.cpp), so the bits are the same. */
+inline void
+biasEpilogueRow(QuantKind kind, const float *v, const float *b, float *dst,
+                std::size_t n)
+{
+    for (std::size_t j = 0; j < n; ++j)
+        dst[j] = v[j] + b[j];
+    if (kind == QuantKind::Fp16)
+        runtime::roundRowToHalf(dst, n);
 }
 
 } // namespace
@@ -292,9 +305,8 @@ QuantizedButterflyLinear::apply(const float *in, float *out) const
         cores_[c].apply(padded, core_out);
         const std::size_t base = c * core_n_;
         const std::size_t take = std::min(core_n_, out_ - base);
-        for (std::size_t j = 0; j < take; ++j)
-            out[base + j] =
-                biasEpilogue(kind_, core_out[j], bias_[base + j]);
+        biasEpilogueRow(kind_, core_out, bias_.data() + base, out + base,
+                        take);
     }
 }
 
@@ -321,13 +333,10 @@ QuantizedButterflyLinear::applyToRows(const float *in, float *out,
             cores_[c].applyRows(padded, core_out, nb);
             const std::size_t base = c * core_n_;
             const std::size_t take = std::min(core_n_, out_ - base);
-            for (std::size_t r = 0; r < nb; ++r) {
-                const float *src = core_out + r * core_n_;
-                float *dst = out + (b0 + r) * out_ + base;
-                for (std::size_t j = 0; j < take; ++j)
-                    dst[j] = biasEpilogue(kind_, src[j],
-                                          bias_[base + j]);
-            }
+            for (std::size_t r = 0; r < nb; ++r)
+                biasEpilogueRow(kind_, core_out + r * core_n_,
+                                bias_.data() + base,
+                                out + (b0 + r) * out_ + base, take);
         }
     }
 }

@@ -117,30 +117,6 @@ headPanels(std::size_t qrows, std::size_t valid, std::size_t dh,
 }
 
 /**
- * Softmax of @p n scores in place: scale-then-max from -1e30f,
- * ascending exp/denominator, then `* inv`. The one expression sequence
- * every attention path runs, so rows that reach it with the same
- * scores leave it with the same bits.
- */
-void
-softmaxRow(float *s, std::size_t n, float scale)
-{
-    float mx = -1e30f;
-    for (std::size_t j = 0; j < n; ++j) {
-        s[j] *= scale;
-        mx = std::max(mx, s[j]);
-    }
-    float denom = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) {
-        s[j] = std::exp(s[j] - mx);
-        denom += s[j];
-    }
-    const float inv = 1.0f / denom;
-    for (std::size_t j = 0; j < n; ++j)
-        s[j] = s[j] * inv;
-}
-
-/**
  * Approximate attention for query @p i: select keys, softmax over the
  * selected set only, context over the gathered selected V rows.
  * Selection is deterministic (nn/sparse_attention.h) and the selected
@@ -203,7 +179,7 @@ sparseAttendRow(const SparseAttentionConfig &sparse, const HeadPanels &p,
             }
         }
     }
-    softmaxRow(prow, m, scale);
+    runtime::softmaxRow(prow, m, scale);
     // Training cache: probabilities at their original key positions;
     // unselected keys stay exactly zero, which backward() skips -
     // straight-through selection, no new backward code.
@@ -263,7 +239,7 @@ attendBlock(const HeadPanels &p, const SparseAttentionConfig &sparse,
     for (std::size_t r = 0; r < rows; ++r) {
         const std::size_t visible = visibleOf(i0 + r);
         float *srow = p.sblk + r * valid;
-        softmaxRow(srow, visible, scale);
+        runtime::softmaxRow(srow, visible, scale);
         // (the attn_ masked tail stays at the tensor's zero init)
         if (ab)
             std::memcpy(ab + r * ab_stride, srow,
@@ -394,12 +370,10 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
             // downstream; the ragged path skips them - rows are
             // independent, so this cannot change the real rows' bits.
             const std::size_t active = ragged ? valid : t_;
-            const HeadPanels p =
-                headPanels(active, valid, dh,
-                           std::min(kQueryBlock, active), approx);
-            for (std::size_t t_idx = 0; t_idx < active; ++t_idx)
-                std::memcpy(p.qh + t_idx * dh, rowPtr(q, b, t_idx) + off,
-                            dh * sizeof(float));
+            // qh/ch hold one query block at a time: gathered just
+            // before attendBlock, scattered right after.
+            const std::size_t qrows = std::min(kQueryBlock, active);
+            const HeadPanels p = headPanels(qrows, valid, dh, qrows, approx);
             // K is gathered transposed ([dh, valid]): the B operand of
             // the score GEMM.
             for (std::size_t j = 0; j < valid; ++j) {
@@ -411,18 +385,20 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
             }
 
             for (std::size_t i0 = 0; i0 < active; i0 += kQueryBlock) {
+                const std::size_t nrows = std::min(kQueryBlock, active - i0);
+                for (std::size_t r = 0; r < nrows; ++r)
+                    std::memcpy(p.qh + r * dh, rowPtr(q, b, i0 + r) + off,
+                                dh * sizeof(float));
                 float *ab = ragged ? nullptr
                                    : attn_.data() +
                                          (b * heads_ * t_ + h * t_ + i0) *
                                              t_;
-                attendBlock(p, sparse_, causal_, scale, i0,
-                            std::min(kQueryBlock, active - i0),
-                            p.qh + i0 * dh, p.ch + i0 * dh, ab, t_);
+                attendBlock(p, sparse_, causal_, scale, i0, nrows, p.qh,
+                            p.ch, ab, t_);
+                for (std::size_t r = 0; r < nrows; ++r)
+                    std::memcpy(rowPtr(ctx, b, i0 + r) + off, p.ch + r * dh,
+                                dh * sizeof(float));
             }
-
-            for (std::size_t i = 0; i < active; ++i)
-                std::memcpy(rowPtr(ctx, b, i) + off, p.ch + i * dh,
-                            dh * sizeof(float));
         }
     });
     return ragged ? proj_o_->forwardRows(ctx, *rows)
@@ -537,7 +513,6 @@ MultiHeadAttention::forwardReference(const Tensor &x)
     attn_ = Tensor::zeros(b_, heads_ * t_, t_);
     Tensor ctx = Tensor::zeros(b_, t_, d_model_);
 
-    std::vector<float> row(t_);
     for (std::size_t b = 0; b < b_; ++b) {
         for (std::size_t h = 0; h < heads_; ++h) {
             const std::size_t off = h * dh;
@@ -546,27 +521,17 @@ MultiHeadAttention::forwardReference(const Tensor &x)
                 // Scores against every visible key (all of them, or
                 // only the prefix when causal), softmax-normalised.
                 const std::size_t visible = causal_ ? i + 1 : t_;
-                float mx = -1e30f;
+                float *arow =
+                    attn_.data() + (b * heads_ * t_ + h * t_ + i) * t_;
                 for (std::size_t j = 0; j < visible; ++j) {
                     const float *kj = rowPtr(k_, b, j) + off;
                     float s = 0.0f;
                     for (std::size_t c = 0; c < dh; ++c)
                         s = runtime::madd(qi[c], kj[c], s);
-                    row[j] = s * scale;
-                    mx = std::max(mx, row[j]);
+                    arow[j] = s;
                 }
-                float denom = 0.0f;
-                for (std::size_t j = 0; j < visible; ++j) {
-                    row[j] = std::exp(row[j] - mx);
-                    denom += row[j];
-                }
-                const float inv = 1.0f / denom;
-                float *arow =
-                    attn_.data() + (b * heads_ * t_ + h * t_ + i) * t_;
-                for (std::size_t j = 0; j < visible; ++j)
-                    arow[j] = row[j] * inv;
-                for (std::size_t j = visible; j < t_; ++j)
-                    arow[j] = 0.0f; // masked future positions
+                // (masked future positions stay at the zero init)
+                runtime::softmaxRow(arow, visible, scale);
                 // Context: weighted sum of visible value head-slices.
                 float *ci = rowPtr(ctx, b, i) + off;
                 for (std::size_t j = 0; j < visible; ++j) {

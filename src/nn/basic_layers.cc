@@ -222,12 +222,14 @@ Tensor
 Gelu::forward(const Tensor &x)
 {
     cached_input_ = x;
-    Tensor y = x;
-    constexpr float k = 0.7978845608028654f; // sqrt(2/pi)
-    for (float &v : y.raw()) {
-        const float inner = k * (v + 0.044715f * v * v * v);
-        v = 0.5f * v * (1.0f + std::tanh(inner));
-    }
+    Tensor y(x.shape());
+    const float *px = x.data();
+    float *py = y.data();
+    // Elementwise (see Relu::backward).
+    runtime::parallelFor(0, y.size(), 1 << 13,
+                         [&](std::size_t i0, std::size_t i1) {
+                             runtime::geluRow(px + i0, py + i0, i1 - i0);
+                         });
     return y;
 }
 
@@ -238,13 +240,8 @@ Gelu::forwardRows(const Tensor &x, const RowSet &rows)
     Tensor y(x.shape()); // zero-init: padded rows stay 0
     const float *px = x.data();
     float *py = y.data();
-    constexpr float k = 0.7978845608028654f; // sqrt(2/pi)
     forEachRowSpan(rows, 16, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t i = r0 * d; i < r1 * d; ++i) {
-            const float v = px[i];
-            const float inner = k * (v + 0.044715f * v * v * v);
-            py[i] = 0.5f * v * (1.0f + std::tanh(inner));
-        }
+        runtime::geluRow(px + r0 * d, py + r0 * d, (r1 - r0) * d);
     });
     return y;
 }
@@ -255,20 +252,12 @@ Gelu::backward(const Tensor &grad_out)
     Tensor gx = grad_out;
     const float *px = cached_input_.data();
     float *pg = gx.data();
-    constexpr float k = 0.7978845608028654f;
     // Elementwise (see Relu::backward).
-    runtime::parallelFor(0, gx.size(), 1 << 13, [&](std::size_t i0,
-                                                    std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-            const float x = px[i];
-            const float inner = k * (x + 0.044715f * x * x * x);
-            const float t = std::tanh(inner);
-            const float dinner = k * (1.0f + 3.0f * 0.044715f * x * x);
-            const float dgelu =
-                0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
-            pg[i] *= dgelu;
-        }
-    });
+    runtime::parallelFor(0, gx.size(), 1 << 13,
+                         [&](std::size_t i0, std::size_t i1) {
+                             for (std::size_t i = i0; i < i1; ++i)
+                                 pg[i] *= runtime::geluGradPinned(px[i]);
+                         });
     return gx;
 }
 

@@ -69,13 +69,13 @@ class Relu : public Layer
     Tensor cached_input_;
 };
 
-/** GELU activation (tanh approximation). */
+/** GELU activation (tanh approximation, runtime::geluRow). */
 class Gelu : public Layer
 {
   public:
     Tensor forward(const Tensor &x) override;
 
-    /** Ragged forward: the tanh pipeline runs on valid row spans
+    /** Ragged forward: the GELU row kernel runs on valid row spans
      *  only, no input cache. Valid rows bitwise equal forward();
      *  padded rows are zero. */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;

@@ -15,8 +15,11 @@
  * contract): fp32/fp16 paths share the pinned madd contraction and
  * binary16 rounding points, the int8 paths are exact integer
  * arithmetic, and max/quantise reductions are order-insensitive on
- * the data they see. The isa-parity ctest label enforces this per
- * variant.
+ * the data they see. The transcendental rows (gelu_row, softmax_row)
+ * evaluate the one library-owned expPinned (kernels_common.h) with
+ * the same per-lane op sequence in every variant, and keep the
+ * softmax denominator a serial ascending sum. The isa-parity ctest
+ * label enforces this per variant.
  */
 #ifndef FABNET_RUNTIME_DISPATCH_H
 #define FABNET_RUNTIME_DISPATCH_H
@@ -93,6 +96,13 @@ struct KernelTable
     /** Round n floats to binary16 bit patterns. */
     void (*float_to_half_bits_row)(const float *f, std::uint16_t *h,
                                    std::size_t n);
+
+    /** y[i] = geluPinned(x[i]) over n floats (y may equal x). */
+    void (*gelu_row)(const float *x, float *y, std::size_t n);
+
+    /** The pinned softmax chain over n scores in place (see
+     *  runtime::softmaxRow in kernels.h). */
+    void (*softmax_row)(float *s, std::size_t n, float scale);
 
     // Stage-major butterfly kernels. A block is a TRANSPOSED [n, 16]
     // buffer (16 = kBflyBlockRows, one activation row per lane,

@@ -129,6 +129,29 @@ floatToHalfBitsRow(const float *f, std::uint16_t *h, std::size_t n)
     kernels().float_to_half_bits_row(f, h, n);
 }
 
+// -------------------------------------------------- transcendentals
+
+/** y[i] = GELU(x[i]) (geluPinned, kernels_common.h) over @p n floats;
+ *  @p y may equal @p x. */
+inline void
+geluRow(const float *x, float *y, std::size_t n)
+{
+    kernels().gelu_row(x, y, n);
+}
+
+/**
+ * Softmax of @p n scores in place: scale-then-max from -1e30f,
+ * e = expPinned(s - max) with the denominator summed in ascending
+ * order, then `* (1 / denominator)`. The one expression sequence every
+ * softmax in the library runs, so rows that reach it with the same
+ * scores leave it with the same bits.
+ */
+inline void
+softmaxRow(float *s, std::size_t n, float scale)
+{
+    kernels().softmax_row(s, n, scale);
+}
+
 /**
  * fp16 GEMM panel: @p a and @p b must hold fp16-representable floats
  * (operands rounded through binary16 up front - fp16 *storage*), the

@@ -15,9 +15,11 @@
 #ifndef FABNET_RUNTIME_KERNELS_COMMON_H
 #define FABNET_RUNTIME_KERNELS_COMMON_H
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "tensor/half.h"
 
@@ -127,6 +129,114 @@ inline float
 f16PairOut(float w0, float x1, float w1, float x2)
 {
     return roundToHalf(madd(w0, x1, w1 * x2));
+}
+
+// ---------------------------------------------------- transcendentals
+// The library's one float exp. GELU and softmax (the gelu_row /
+// softmax_row table entries and the GELU backward) all evaluate it,
+// so no output depends on the host's libm. The vector forms in
+// kernels_impl.h replay this exact op sequence lane by lane; every op
+// is a correctly rounded IEEE mul/add/sub/div, an exact conversion or
+// shift, or a compare-and-select, so each lane equals this function.
+
+/** expPinned's range: below kExpLo (ln FLT_MIN) the result is +0,
+ *  above kExpHi (the float nearest ln FLT_MAX) it is +inf. */
+constexpr float kExpLo = -87.3365478515625f;
+constexpr float kExpHi = 88.72283935546875f;
+constexpr float kLog2e = 1.44269502162933349609375f;
+/** 1.5 * 2^23: adding and subtracting it rounds |v| < 2^22 to the
+ *  nearest integer (ties to even) with two plain adds. */
+constexpr float kRoundMagic = 12582912.0f;
+/** Cody-Waite split of ln 2. kLn2Hi has 9 significant bits, so for
+ *  |n| <= 128, n * kLn2Hi and x - n * kLn2Hi are exact. */
+constexpr float kLn2Hi = 0.693359375f;
+constexpr float kLn2Lo = -2.12194440e-4f;
+/** e^r ~ 1 + r + r^2 * P(r) on |r| <= ln2 / 2, P of degree 5. */
+constexpr float kExpP0 = 1.9875691500e-4f;
+constexpr float kExpP1 = 1.3981999507e-3f;
+constexpr float kExpP2 = 8.3334519073e-3f;
+constexpr float kExpP3 = 4.1665795894e-2f;
+constexpr float kExpP4 = 1.6666665459e-1f;
+constexpr float kExpP5 = 5.0000001201e-1f;
+
+/** c ? a : b as a bit mask, not a branch: GCC (under the default
+ *  -ftrapping-math) keeps float conditionals as control flow, which
+ *  stops a loop over expPinned from vectorising. */
+inline float
+selectf(bool c, float a, float b)
+{
+    const std::uint32_t m = 0u - static_cast<std::uint32_t>(c);
+    return std::bit_cast<float>((std::bit_cast<std::uint32_t>(a) & m) |
+                                (std::bit_cast<std::uint32_t>(b) & ~m));
+}
+
+/** 2^n for n in [-126, 127], built from the exponent bits. */
+inline float
+pow2i(std::int32_t n)
+{
+    return std::bit_cast<float>((n + 127) << 23);
+}
+
+/**
+ * e^x in float, <= 1 ulp from the correctly rounded result on
+ * [ln FLT_MIN, ln FLT_MAX] (tests/isa_dispatch_test.cpp). Branch-free
+ * so a loop over it vectorises even at the baseline ISA: x outside
+ * [kExpLo, kExpHi] (and NaN) is replaced by 0, n = rint(x log2e),
+ * r = x - n ln2 by the Cody-Waite split, e^r by the polynomial, 2^n in
+ * two exact halves (n reaches 128 just below kExpHi), then the
+ * specials by select: NaN -> NaN, x < kExpLo -> +0, x > kExpHi -> +inf.
+ * (Evaluating an out-of-range x at a bound instead would make a
+ * denormal, which costs a microcode assist per element.)
+ */
+inline float
+expPinned(float x)
+{
+    const float xc = selectf((x >= kExpLo) & (x <= kExpHi), x, 0.0f);
+    const float nf = madd(xc, kLog2e, kRoundMagic) - kRoundMagic;
+    const float r = (xc - nf * kLn2Hi) - nf * kLn2Lo;
+    float p = kExpP0;
+    p = madd(p, r, kExpP1);
+    p = madd(p, r, kExpP2);
+    p = madd(p, r, kExpP3);
+    p = madd(p, r, kExpP4);
+    p = madd(p, r, kExpP5);
+    float y = madd(p, r * r, r) + 1.0f;
+    const std::int32_t n = static_cast<std::int32_t>(nf);
+    const std::int32_t n1 = n >> 1;
+    y = (y * pow2i(n1)) * pow2i(n - n1);
+    y = selectf(x < kExpLo, 0.0f, y);
+    y = selectf(x > kExpHi, std::numeric_limits<float>::infinity(), y);
+    return selectf(x != x, x, y);
+}
+
+/** sqrt(2/pi), the GELU tanh-approximation constant. */
+constexpr float kGeluK = 0.7978845608028654f;
+
+/** The GELU tanh argument u = k (v + 0.044715 v^3). */
+inline float
+geluArg(float v)
+{
+    return kGeluK * (v + 0.044715f * v * v * v);
+}
+
+/**
+ * GELU, tanh approximation: 0.5 v (1 + tanh u) = v / (1 + e^(-2u)).
+ * The second form has no 1 + tanh cancellation, so it stays accurate
+ * (and nonzero) far into the negative tail.
+ */
+inline float
+geluPinned(float v)
+{
+    return v / (1.0f + expPinned(-2.0f * geluArg(v)));
+}
+
+/** d GELU / dv = s + 2 v s (1 - s) u', s = 1 / (1 + e^(-2u)). */
+inline float
+geluGradPinned(float v)
+{
+    const float s = 1.0f / (1.0f + expPinned(-2.0f * geluArg(v)));
+    const float du = kGeluK * (1.0f + 3.0f * 0.044715f * v * v);
+    return s + 2.0f * v * s * (1.0f - s) * du;
 }
 
 // ------------------------------------------------------------ packing

@@ -34,6 +34,12 @@
  * - binary16 rounding: hardware vcvtps2ph (RNE) is bit-identical to
  *   the software conversion in tensor/half.h for all finite values
  *   and infinities (pinned by tests/quantize_golden_test.cpp).
+ * - transcendental rows (GELU, softmax): every lane runs expPinned's
+ *   op sequence (kernels_common.h) - IEEE mul/add/sub/div without
+ *   FMA, exact int conversions and exponent-bit shifts, and
+ *   compare-and-select for the specials - so lane order never
+ *   matters. The softmax max is exact in any order and its
+ *   denominator stays one serial ascending sum.
  */
 
 #include <algorithm>
@@ -532,6 +538,220 @@ floatToHalfBitsRowV(const float *f, std::uint16_t *h, std::size_t n)
         h[i] = floatToHalfBits(f[i]);
 }
 
+// ------------------------------------------------ transcendental rows
+// expPinned and geluPinned (kernels_common.h) replayed lane by lane:
+// the same out-of-range substitution, reduction, polynomial,
+// exponent-bit scaling and selects, each op the IEEE vector form of
+// the scalar one (mul + add, never FMA), so every lane equals the
+// scalar function. The tails and
+// the scalar table run the scalar form, which is branch-free and
+// vectorises at the baseline ISA.
+
+#if FABNET_KV_AVX512
+inline __m512
+pow2i16(__m512i n)
+{
+    return _mm512_castsi512_ps(_mm512_slli_epi32(
+        _mm512_add_epi32(n, _mm512_set1_epi32(127)), 23));
+}
+
+inline __m512
+expPinned16(__m512 x)
+{
+    const __m512 lo = _mm512_set1_ps(kExpLo);
+    const __m512 hi = _mm512_set1_ps(kExpHi);
+    const __m512 magic = _mm512_set1_ps(kRoundMagic);
+    const __m512 xc = _mm512_maskz_mov_ps(
+        _mm512_cmp_ps_mask(x, lo, _CMP_GE_OQ) &
+            _mm512_cmp_ps_mask(x, hi, _CMP_LE_OQ),
+        x);
+    const __m512 nf = _mm512_sub_ps(
+        _mm512_add_ps(_mm512_mul_ps(xc, _mm512_set1_ps(kLog2e)), magic),
+        magic);
+    const __m512 r = _mm512_sub_ps(
+        _mm512_sub_ps(xc, _mm512_mul_ps(nf, _mm512_set1_ps(kLn2Hi))),
+        _mm512_mul_ps(nf, _mm512_set1_ps(kLn2Lo)));
+    __m512 p = _mm512_set1_ps(kExpP0);
+    for (const float c : {kExpP1, kExpP2, kExpP3, kExpP4, kExpP5})
+        p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(c));
+    __m512 y = _mm512_add_ps(
+        _mm512_add_ps(_mm512_mul_ps(p, _mm512_mul_ps(r, r)), r),
+        _mm512_set1_ps(1.0f));
+    const __m512i n = _mm512_cvttps_epi32(nf);
+    const __m512i n1 = _mm512_srai_epi32(n, 1);
+    y = _mm512_mul_ps(_mm512_mul_ps(y, pow2i16(n1)),
+                      pow2i16(_mm512_sub_epi32(n, n1)));
+    y = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(x, lo, _CMP_LT_OQ), y,
+                             _mm512_setzero_ps());
+    y = _mm512_mask_blend_ps(
+        _mm512_cmp_ps_mask(x, hi, _CMP_GT_OQ), y,
+        _mm512_set1_ps(std::numeric_limits<float>::infinity()));
+    return _mm512_mask_blend_ps(_mm512_cmp_ps_mask(x, x, _CMP_UNORD_Q), y,
+                                x);
+}
+
+inline __m512
+geluPinned16(__m512 v)
+{
+    const __m512 v3 = _mm512_mul_ps(
+        _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(0.044715f), v), v), v);
+    const __m512 u =
+        _mm512_mul_ps(_mm512_set1_ps(kGeluK), _mm512_add_ps(v, v3));
+    const __m512 e = expPinned16(_mm512_mul_ps(_mm512_set1_ps(-2.0f), u));
+    return _mm512_div_ps(v, _mm512_add_ps(_mm512_set1_ps(1.0f), e));
+}
+#elif FABNET_KV_AVX2
+inline __m256
+pow2i8(__m256i n)
+{
+    return _mm256_castsi256_ps(_mm256_slli_epi32(
+        _mm256_add_epi32(n, _mm256_set1_epi32(127)), 23));
+}
+
+inline __m256
+expPinned8(__m256 x)
+{
+    const __m256 lo = _mm256_set1_ps(kExpLo);
+    const __m256 hi = _mm256_set1_ps(kExpHi);
+    const __m256 magic = _mm256_set1_ps(kRoundMagic);
+    const __m256 xc = _mm256_and_ps(
+        _mm256_and_ps(_mm256_cmp_ps(x, lo, _CMP_GE_OQ),
+                      _mm256_cmp_ps(x, hi, _CMP_LE_OQ)),
+        x);
+    const __m256 nf = _mm256_sub_ps(
+        _mm256_add_ps(_mm256_mul_ps(xc, _mm256_set1_ps(kLog2e)), magic),
+        magic);
+    const __m256 r = _mm256_sub_ps(
+        _mm256_sub_ps(xc, _mm256_mul_ps(nf, _mm256_set1_ps(kLn2Hi))),
+        _mm256_mul_ps(nf, _mm256_set1_ps(kLn2Lo)));
+    __m256 p = _mm256_set1_ps(kExpP0);
+    for (const float c : {kExpP1, kExpP2, kExpP3, kExpP4, kExpP5})
+        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+    __m256 y = _mm256_add_ps(
+        _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+        _mm256_set1_ps(1.0f));
+    const __m256i n = _mm256_cvttps_epi32(nf);
+    const __m256i n1 = _mm256_srai_epi32(n, 1);
+    y = _mm256_mul_ps(_mm256_mul_ps(y, pow2i8(n1)),
+                      pow2i8(_mm256_sub_epi32(n, n1)));
+    y = _mm256_blendv_ps(y, _mm256_setzero_ps(),
+                         _mm256_cmp_ps(x, lo, _CMP_LT_OQ));
+    y = _mm256_blendv_ps(
+        y, _mm256_set1_ps(std::numeric_limits<float>::infinity()),
+        _mm256_cmp_ps(x, hi, _CMP_GT_OQ));
+    return _mm256_blendv_ps(y, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+}
+
+inline __m256
+geluPinned8(__m256 v)
+{
+    const __m256 v3 = _mm256_mul_ps(
+        _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.044715f), v), v), v);
+    const __m256 u =
+        _mm256_mul_ps(_mm256_set1_ps(kGeluK), _mm256_add_ps(v, v3));
+    const __m256 e = expPinned8(_mm256_mul_ps(_mm256_set1_ps(-2.0f), u));
+    return _mm256_div_ps(v, _mm256_add_ps(_mm256_set1_ps(1.0f), e));
+}
+#endif
+
+void
+geluRow(const float *x, float *y, std::size_t n)
+{
+    std::size_t i = 0;
+#if FABNET_KV_AVX512
+    for (; i + 16 <= n; i += 16)
+        _mm512_storeu_ps(y + i, geluPinned16(_mm512_loadu_ps(x + i)));
+#elif FABNET_KV_AVX2
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(y + i, geluPinned8(_mm256_loadu_ps(x + i)));
+#endif
+    for (; i < n; ++i)
+        y[i] = geluPinned(x[i]);
+}
+
+/**
+ * The pinned softmax chain, in place: s *= scale and the max from
+ * -1e30f (max is exact in any order, so this pass runs lane-parallel;
+ * NaN scores never become the max, as in std::max), then
+ * e = expPinned(s - max), the denominator summed serially in ascending
+ * order, and s * (1 / denominator); a NaN denominator yields a row of
+ * quiet NaNs.
+ */
+void
+softmaxRowV(float *s, std::size_t n, float scale)
+{
+    std::size_t j = 0;
+    float mx = -1e30f;
+#if FABNET_KV_AVX512
+    const __m512 vs = _mm512_set1_ps(scale);
+    __m512 vm = _mm512_set1_ps(-1e30f);
+    for (; j + 16 <= n; j += 16) {
+        const __m512 v = _mm512_mul_ps(_mm512_loadu_ps(s + j), vs);
+        _mm512_storeu_ps(s + j, v);
+        vm = _mm512_max_ps(v, vm);
+    }
+    mx = _mm512_reduce_max_ps(vm);
+#elif FABNET_KV_AVX2
+    const __m256 vs = _mm256_set1_ps(scale);
+    __m256 vm = _mm256_set1_ps(-1e30f);
+    for (; j + 8 <= n; j += 8) {
+        const __m256 v = _mm256_mul_ps(_mm256_loadu_ps(s + j), vs);
+        _mm256_storeu_ps(s + j, v);
+        vm = _mm256_max_ps(v, vm);
+    }
+    alignas(32) float m8[8];
+    _mm256_store_ps(m8, vm);
+    for (const float m : m8)
+        mx = std::max(mx, m);
+#else
+    // Sixteen running maxima. The inner loop must stay a loop - fully
+    // unrolled into sixteen selects, GCC no longer vectorises it.
+    float m16[16];
+    std::fill(m16, m16 + 16, -1e30f);
+    for (; j + 16 <= n; j += 16) {
+#pragma GCC unroll 1
+        for (std::size_t k = 0; k < 16; ++k) {
+            const float v = s[j + k] * scale;
+            s[j + k] = v;
+            m16[k] = std::max(m16[k], v);
+        }
+    }
+    for (const float m : m16)
+        mx = std::max(mx, m);
+#endif
+    for (; j < n; ++j) {
+        s[j] *= scale;
+        mx = std::max(mx, s[j]);
+    }
+    j = 0;
+#if FABNET_KV_AVX512
+    const __m512 vmx = _mm512_set1_ps(mx);
+    for (; j + 16 <= n; j += 16)
+        _mm512_storeu_ps(s + j, expPinned16(_mm512_sub_ps(
+                                    _mm512_loadu_ps(s + j), vmx)));
+#elif FABNET_KV_AVX2
+    const __m256 vmx = _mm256_set1_ps(mx);
+    for (; j + 8 <= n; j += 8)
+        _mm256_storeu_ps(s + j, expPinned8(_mm256_sub_ps(
+                                    _mm256_loadu_ps(s + j), vmx)));
+#endif
+    for (; j < n; ++j)
+        s[j] = expPinned(s[j] - mx);
+    float denom = 0.0f;
+    for (j = 0; j < n; ++j)
+        denom += s[j];
+    // A NaN or +inf score makes the denominator NaN and every output
+    // NaN. Give them one payload: x86 returns the first of two NaN
+    // operands, and the compiler may order s * inv either way.
+    if (denom != denom) {
+        std::fill(s, s + n, std::numeric_limits<float>::quiet_NaN());
+        return;
+    }
+    const float inv = 1.0f / denom;
+    for (j = 0; j < n; ++j)
+        s[j] = s[j] * inv;
+}
+
 // ------------------------------------------------- butterfly stages
 // Every stage-major block is exactly kLanes = runtime::kBflyBlockRows
 // (16) lanes wide, one activation row per lane. The edge kernels take
@@ -1011,6 +1231,8 @@ FABNET_KV_EXPORT()
         &FABNET_KV_NS::roundRowToHalfV,
         &FABNET_KV_NS::halfBitsToFloatRowV,
         &FABNET_KV_NS::floatToHalfBitsRowV,
+        &FABNET_KV_NS::geluRow,
+        &FABNET_KV_NS::softmaxRowV,
         &FABNET_KV_NS::bflyStage,
         &FABNET_KV_NS::qbflyF16Stage,
         &FABNET_KV_NS::qbflyI8Stage,

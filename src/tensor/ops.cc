@@ -455,21 +455,10 @@ softmaxLastDim(const Tensor &a)
     const std::size_t rows = a.size() / d;
     Tensor out = a;
     float *p = out.data();
+    // Scale 1.0f is exact, so this is the attention softmax chain.
     runtime::parallelFor(0, rows, 16, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            float *row = p + r * d;
-            float mx = row[0];
-            for (std::size_t j = 1; j < d; ++j)
-                mx = std::max(mx, row[j]);
-            float denom = 0.0f;
-            for (std::size_t j = 0; j < d; ++j) {
-                row[j] = std::exp(row[j] - mx);
-                denom += row[j];
-            }
-            const float inv = 1.0f / denom;
-            for (std::size_t j = 0; j < d; ++j)
-                row[j] *= inv;
-        }
+        for (std::size_t r = r0; r < r1; ++r)
+            runtime::softmaxRow(p + r * d, d, 1.0f);
     });
     return out;
 }
@@ -520,11 +509,7 @@ Tensor
 gelu(const Tensor &a)
 {
     Tensor c = a;
-    constexpr float k = 0.7978845608028654f; // sqrt(2/pi)
-    for (float &v : c.raw()) {
-        const float inner = k * (v + 0.044715f * v * v * v);
-        v = 0.5f * v * (1.0f + std::tanh(inner));
-    }
+    runtime::geluRow(c.data(), c.data(), c.size());
     return c;
 }
 

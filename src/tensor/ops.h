@@ -118,8 +118,8 @@ Tensor scale(const Tensor &a, float s);
 void addInPlace(Tensor &a, const Tensor &b);
 
 /**
- * Row-wise softmax over the last dimension.
- * Works for rank 2 ([rows, cols]) and rank 3 ([b, t, d]).
+ * Row-wise softmax over the last dimension (runtime::softmaxRow at
+ * scale 1). Works for rank 2 ([rows, cols]) and rank 3 ([b, t, d]).
  */
 Tensor softmaxLastDim(const Tensor &a);
 
@@ -134,7 +134,8 @@ Tensor layerNormLastDim(const Tensor &a, const std::vector<float> &gamma,
 /** Rectified linear unit. */
 Tensor relu(const Tensor &a);
 
-/** Gaussian error linear unit (tanh approximation, as in BERT). */
+/** Gaussian error linear unit (tanh approximation, as in BERT), via
+ *  runtime::geluRow. */
 Tensor gelu(const Tensor &a);
 
 /** Sum of all elements. */

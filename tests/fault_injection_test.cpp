@@ -320,9 +320,12 @@ TEST_F(FaultInjectionTest, MidBatchExpiryDiscardsComputedResult)
     sc.fault_plan = &plan;
     ServingEngine engine(*model, sc);
 
+    // f2 (same bucket, no deadline) goes in first: f1's deadline is
+    // urgent at once under the 5 s max_wait, so a dispatcher wakeup
+    // between the two submits would otherwise flush f1 alone.
+    auto f2 = engine.submit(reqs[1]);
     auto f1 = engine.submit(reqs[0],
                             deadlineAfter(std::chrono::milliseconds(200)));
-    auto f2 = engine.submit(reqs[1]); // same bucket, no deadline
     engine.flush();
 
     expectError(ErrorCode::DeadlineExceeded, [&] { f1.get(); },

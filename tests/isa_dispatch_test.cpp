@@ -11,8 +11,13 @@
  *     reductions/conversions, the fp32/fp16/int8 butterfly stage
  *     sweeps at the one 16-lane block width (int8 up to its int16
  *     bound) and the block edge kernels at 1, 5 and 16 valid rows
- *     with exact-zero padding lanes - at thread counts {1, 4, 8}
- *     where threading applies.
+ *     with exact-zero padding lanes, and the GELU / softmax rows on
+ *     random rows and on signed zeros, infinities, NaN, -1e30 and
+ *     both exp bounds - at thread counts {1, 4, 8} where threading
+ *     applies,
+ *   - expPinned stays within 1 ulp of e^x on [ln FLT_MIN, ln FLT_MAX]
+ *     and the GELU row within 16 ulp on [-3, 3], 64 on [-6, 6]
+ *     (strided sweeps against long double).
  * Together with the forced-FABNET_ISA re-runs of the kernel parity
  * suites (ctest -L isa-parity) this is the gate that makes one binary
  * safe on every deployment target.
@@ -20,8 +25,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -453,6 +461,200 @@ TEST_F(IsaDispatchTest, QuantInZeroRowContractHoldsOnEveryVariant)
             EXPECT_EQ(q[i * kLanes + 2], 127);
         }
     }
+}
+
+// ------------------------------------------------ transcendental rows
+
+/** Row lengths around the 8/16-lane widths, plus full score rows. */
+constexpr std::size_t kTransRowLens[] = {1,  7,  8,    15,   16,
+                                         17, 33, 1024, 2047, 2048};
+
+/** The inputs every transcendental row test splices in: signed zeros,
+ *  infinities, NaN, the -1e30f max seed, and values on and just past
+ *  both bounds of expPinned's range. */
+std::vector<float>
+transSpecials()
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    return {0.0f,
+            -0.0f,
+            inf,
+            -inf,
+            std::numeric_limits<float>::quiet_NaN(),
+            -1e30f,
+            runtime::kExpLo,
+            std::nextafter(runtime::kExpLo, -inf),
+            runtime::kExpHi,
+            std::nextafter(runtime::kExpHi, inf)};
+}
+
+/** A row of @p n floats: N(0, spread^2) draws with the specials spliced
+ *  in at spread-out positions when @p with_specials. */
+std::vector<float>
+transRow(std::size_t n, unsigned seed, float spread, bool with_specials)
+{
+    Rng rng(seed);
+    const Tensor t = rng.normalTensor({n});
+    std::vector<float> row(t.data(), t.data() + n);
+    for (float &v : row)
+        v *= spread;
+    if (with_specials) {
+        const std::vector<float> sp = transSpecials();
+        for (std::size_t i = 0; i < sp.size() && i < n; ++i)
+            row[(i * 7919) % n] = sp[i];
+    }
+    return row;
+}
+
+bool
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST_F(IsaDispatchTest, GeluRowEveryVariantMatchesScalarTable)
+{
+    const KernelTable *scalar = kernelTableFor(Isa::Scalar);
+    ASSERT_NE(scalar, nullptr);
+    for (const std::size_t n : kTransRowLens) {
+        for (const bool specials : {false, true}) {
+            // Spread 4 reaches both exp saturation regions of GELU's
+            // e^(-2u) (|v| >~ 10).
+            const std::vector<float> x =
+                transRow(n, 500 + static_cast<unsigned>(n), 4.0f, specials);
+            std::vector<float> ref(n);
+            scalar->gelu_row(x.data(), ref.data(), n);
+            for (const KernelTable *t : supportedTables()) {
+                SCOPED_TRACE(std::string(t->name) + " n=" +
+                             std::to_string(n) +
+                             (specials ? " specials" : ""));
+                std::vector<float> y(n, -1.0f);
+                t->gelu_row(x.data(), y.data(), n);
+                EXPECT_TRUE(sameBits(y, ref));
+                std::vector<float> inplace = x;
+                t->gelu_row(inplace.data(), inplace.data(), n);
+                EXPECT_TRUE(sameBits(inplace, ref));
+            }
+        }
+    }
+}
+
+TEST_F(IsaDispatchTest, SoftmaxRowEveryVariantMatchesScalarTable)
+{
+    const KernelTable *scalar = kernelTableFor(Isa::Scalar);
+    ASSERT_NE(scalar, nullptr);
+    const auto check = [&](const std::vector<float> &row, float scale,
+                           const std::string &what) {
+        std::vector<float> ref = row;
+        scalar->softmax_row(ref.data(), ref.size(), scale);
+        for (const KernelTable *t : supportedTables()) {
+            SCOPED_TRACE(std::string(t->name) + " " + what);
+            std::vector<float> s = row;
+            t->softmax_row(s.data(), s.size(), scale);
+            EXPECT_TRUE(sameBits(s, ref));
+        }
+    };
+    for (const std::size_t n : kTransRowLens) {
+        const std::string len = " n=" + std::to_string(n);
+        const unsigned seed = 600 + static_cast<unsigned>(n);
+        check(transRow(n, seed, 3.0f, false), 0.125f, "random" + len);
+        check(transRow(n, seed, 3.0f, true), 0.125f, "specials" + len);
+        check(std::vector<float>(n, 0.75f), 0.125f, "all-equal" + len);
+        check(std::vector<float>(n, -1e30f), 1.0f, "all -1e30" + len);
+        // Max 0 at scale 1: the exp arguments are the entries
+        // themselves, swept across and past expPinned's lower bound.
+        std::vector<float> sweep(n);
+        for (std::size_t j = 0; j < n; ++j)
+            sweep[j] = -100.0f * static_cast<float>(j) /
+                       static_cast<float>(n);
+        check(sweep, 1.0f, "exp-argument sweep" + len);
+    }
+}
+
+/** A float's position on the number line in representable steps
+ *  (+0 and -0 share 0). */
+std::int64_t
+floatKey(float f)
+{
+    std::int32_t i;
+    std::memcpy(&i, &f, sizeof(i));
+    return i < 0 ? -static_cast<std::int64_t>(i & 0x7FFFFFFF)
+                 : static_cast<std::int64_t>(i);
+}
+
+float
+keyFloat(std::int64_t k)
+{
+    const std::uint32_t bits =
+        k < 0 ? static_cast<std::uint32_t>(-k) | 0x80000000u
+              : static_cast<std::uint32_t>(k);
+    float f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
+}
+
+/** Distance in representable floats (0 for equal values, including
+ *  two infinities of one sign). */
+std::int64_t
+ulpDistance(float a, float b)
+{
+    return a == b ? 0 : std::llabs(floatKey(a) - floatKey(b));
+}
+
+/** Largest ulp distance of fn(x) from ref(x) rounded to float, over
+ *  about @p points floats of [lo, hi] strided in representable steps
+ *  (so every binade is sampled alike), both ends included. */
+template <class Fn, class Ref>
+std::int64_t
+maxUlpSweep(float lo, float hi, std::int64_t points, const Fn &fn,
+            const Ref &ref)
+{
+    const std::int64_t k0 = floatKey(lo), k1 = floatKey(hi);
+    const std::int64_t stride = std::max<std::int64_t>(1, (k1 - k0) / points);
+    std::vector<float> xs;
+    for (std::int64_t k = k0; k < k1; k += stride)
+        xs.push_back(keyFloat(k));
+    xs.push_back(hi);
+    const std::vector<float> ys = fn(xs);
+    std::int64_t worst = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        worst = std::max(worst,
+                         ulpDistance(ys[i], static_cast<float>(ref(xs[i]))));
+    return worst;
+}
+
+TEST_F(IsaDispatchTest, ExpPinnedAndGeluUlpBounds)
+{
+    const auto exp_pinned = [](const std::vector<float> &xs) {
+        std::vector<float> ys(xs.size());
+        for (std::size_t i = 0; i < xs.size(); ++i)
+            ys[i] = runtime::expPinned(xs[i]);
+        return ys;
+    };
+    const auto exp_ref = [](float x) {
+        return std::exp(static_cast<long double>(x));
+    };
+    EXPECT_LE(maxUlpSweep(runtime::kExpLo, runtime::kExpHi, 1u << 20,
+                          exp_pinned, exp_ref),
+              1);
+
+    // The shipped row kernel of the active table, against
+    // v / (1 + e^(-2u)) in long double on the same float constants.
+    const auto gelu_row = [](const std::vector<float> &xs) {
+        std::vector<float> ys(xs.size());
+        runtime::geluRow(xs.data(), ys.data(), xs.size());
+        return ys;
+    };
+    const auto gelu_ref = [](float v) {
+        const long double x = v;
+        const long double u =
+            static_cast<long double>(runtime::kGeluK) *
+            (x + static_cast<long double>(0.044715f) * x * x * x);
+        return x / (1.0L + std::exp(-2.0L * u));
+    };
+    EXPECT_LE(maxUlpSweep(-3.0f, 3.0f, 1u << 20, gelu_row, gelu_ref), 16);
+    EXPECT_LE(maxUlpSweep(-6.0f, 6.0f, 1u << 20, gelu_row, gelu_ref), 64);
 }
 
 } // namespace
