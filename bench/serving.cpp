@@ -24,12 +24,9 @@
  * tokens, granularity-8 buckets): the high-QPS regime where request
  * batching is decisive in practice.
  *
- * Each batched case is measured twice: `batched_N_fullpad` forces the
- * dense masked path (padded rows computed and discarded - the pre-
- * ragged behaviour) and `batched_N` runs the default ragged path that
- * skips padded rows end to end; both produce bitwise-identical
- * logits, so the pair isolates the reclaimed pad_overhead. Two
- * padding figures are reported per case: `pad_overhead` vs the bucket
+ * Each `batched_N` case runs the ragged path that skips padded rows
+ * end to end (`rows_skipped` counts them). Two padding figures are
+ * reported per case: `pad_overhead` vs the bucket
  * length every row is padded to, and `pad_overhead_batch` vs the
  * actual flushed batch composition (rows padded only to their batch's
  * longest member) - the former includes bucket-quantisation waste the
@@ -127,7 +124,7 @@ struct CaseResult
 CaseResult
 runBatched(SequenceClassifier &model,
            const std::vector<std::vector<int>> &reqs,
-           std::size_t max_batch, bool ragged)
+           std::size_t max_batch)
 {
     serve::ServingConfig sc;
     sc.max_batch = max_batch;
@@ -135,7 +132,6 @@ runBatched(SequenceClassifier &model,
     // The stream is submitted up front; rely on full/drain flushes so
     // the measurement captures batching, not timer waits.
     sc.max_wait = std::chrono::milliseconds(50);
-    model.setRaggedBatch(ragged);
     serve::ServingEngine engine(model, sc);
 
     const auto t0 = Clock::now();
@@ -144,14 +140,12 @@ runBatched(SequenceClassifier &model,
     r.seconds = secondsSince(t0);
     asm volatile("" ::"r"(out.data()) : "memory");
     const auto st = engine.stats();
-    r.name = "batched_" + std::to_string(max_batch) +
-             (ragged ? "" : "_fullpad");
+    r.name = "batched_" + std::to_string(max_batch);
     r.req_per_sec = static_cast<double>(reqs.size()) / r.seconds;
     r.avg_batch = st.avgBatch();
     r.pad_overhead = st.padOverhead();
     r.pad_overhead_batch = st.padOverheadBatch();
     r.rows_skipped = st.rows_skipped;
-    model.setRaggedBatch(true);
     return r;
 }
 
@@ -167,7 +161,7 @@ runModel(const char *label, const ModelConfig &cfg,
 
     // Warmup: thread pool spin-up, workspace growth, and - since the
     // autotuner searches on first sight of a shape - every batch
-    // size/padding mode the timed cases will run. Batched warmups use
+    // size the timed cases will run. Batched warmups use
     // the FULL request set: group row counts depend on how many
     // requests share a bucket, so a truncated warmup would form
     // smaller groups and miss the tuning keys of the real run,
@@ -178,10 +172,8 @@ runModel(const char *label, const ModelConfig &cfg,
         const std::vector<std::vector<int>> warm(
             reqs.begin(), reqs.begin() + n_warm);
         runSerial(*model, warm);
-        for (std::size_t max_batch : {8u, 16u, 32u}) {
-            runBatched(*model, reqs, max_batch, false);
-            runBatched(*model, reqs, max_batch, true);
-        }
+        for (std::size_t max_batch : {8u, 16u, 32u})
+            runBatched(*model, reqs, max_batch);
     }
 
     CaseResult serial;
@@ -190,17 +182,11 @@ runModel(const char *label, const ModelConfig &cfg,
     serial.req_per_sec =
         static_cast<double>(reqs.size()) / serial.seconds;
 
-    // Before/after pairs: `batched_N_fullpad` runs the dense masked
-    // path (every padded row computed and discarded), `batched_N` the
-    // ragged skip-padded-rows path - same bits, less work; their ratio
-    // is the reclaimed pad_overhead share.
     std::vector<CaseResult> cases = {serial};
     for (std::size_t max_batch : {8u, 16u, 32u}) {
-        for (bool ragged : {false, true}) {
-            CaseResult r = runBatched(*model, reqs, max_batch, ragged);
-            r.speedup = r.req_per_sec / serial.req_per_sec;
-            cases.push_back(r);
-        }
+        CaseResult r = runBatched(*model, reqs, max_batch);
+        r.speedup = r.req_per_sec / serial.req_per_sec;
+        cases.push_back(r);
     }
 
     std::printf("%-20s %10s %12s %9s %10s %8s %8s %9s\n", "case",

@@ -65,27 +65,19 @@ SequenceClassifier::forwardBatch(const std::vector<int> &tokens,
         if (L == 0 || L > seq)
             throw std::invalid_argument(
                 "SequenceClassifier::forwardBatch: len out of [1, seq]");
-    // Ragged execution: build the valid-row descriptor once and skip
-    // padded rows in every layer. Only for fully maskable models -
-    // Fourier mixers deliberately mix the embedded pad rows in, and
-    // the ragged chain's zeroed pad rows would change those logits.
+    // Maskable models skip padded rows in every layer. Fourier mixers
+    // mix the embedded pad rows in, so their models run every row.
     // Serving cancellation (watchdog / shutdown deadline): in addition
     // to the per-grain poll inside every parallelFor, re-check between
     // blocks so a cancelled invocation unwinds at layer granularity
     // even on the serial fast paths. No-op without a CancelScope.
-    if (ragged_batch_ && supportsMaskedBatch()) {
-        const nn::RowSet rows(batch, seq, lens);
-        Tensor x = embedding_.forwardRows(tokens, rows);
-        for (auto &blk : blocks_) {
-            runtime::checkCancelled();
-            x = blk->forwardRows(x, rows);
-        }
-        return head_.forwardMasked(x, lens);
-    }
-    Tensor x = embedding_.forward(tokens, batch, seq);
+    const nn::RowSet rows = supportsMaskedBatch()
+                                ? nn::RowSet(batch, seq, lens)
+                                : nn::RowSet(batch, seq);
+    Tensor x = embedding_.forwardRows(tokens, rows);
     for (auto &blk : blocks_) {
         runtime::checkCancelled();
-        x = blk->forwardMasked(x, lens);
+        x = blk->forwardRows(x, rows);
     }
     return head_.forwardMasked(x, lens);
 }

@@ -60,40 +60,23 @@ class SequenceClassifier
      * Inference logits for a right-padded batch of mixed-length
      * sequences: @p tokens is flat [batch * seq] with sequence b
      * occupying the first lens[b] slots of its row and pad tokens
-     * after. Attention mixers mask padded keys and the pooled head
-     * averages over the real prefix only, so for attention-mixer
-     * models each logits row is bitwise identical to
-     * forward(sequence_b, 1, lens[b]) - the property the serving
-     * engine (serve/serving.h) and tests/serving_test.cpp rely on.
+     * after. The pooled head averages over the real prefix only.
      *
-     * Execution: when every block honours masking exactly
-     * (supportsMaskedBatch()) and ragged execution is enabled (the
-     * default, see setRaggedBatch), the call builds a nn::RowSet
-     * descriptor once and drives the layers' forwardRows paths, which
-     * SKIP the padded rows instead of computing and discarding them -
-     * same bits, pad_overhead-proportionally less work (the tentpole
-     * of the ragged-execution PR; tests/serving_test.cpp `ragged-
-     * parity` pins the bitwise equivalence at threads {1, 4, 8}).
-     * Fourier mixers have no masked form (see nn/layer.h); such
-     * models keep the dense masked path - their padded rows mix in,
-     * and reproducibility then only holds against same-padded-length
-     * inference. Inference-only: do not call trainBatch-style
-     * backward passes after it.
+     * Execution: one forwardRows chain. A maskable model
+     * (supportsMaskedBatch()) runs the nn::RowSet of @p lens, so every
+     * layer SKIPS the padded rows and attention masks padded keys:
+     * each logits row is bitwise identical to forward(sequence_b, 1,
+     * lens[b]) at any thread count - the property the serving engine
+     * (serve/serving.h) relies on and `ragged-parity` pins. A model
+     * with Fourier mixers (no masked form, see nn/layer.h) runs the
+     * padding-free RowSet: every row, pads included, is embedded and
+     * mixed, so each logits row is reproducible only against the same
+     * row served at the same padded length. Inference-only: do not
+     * call trainBatch-style backward passes after it.
      */
     Tensor forwardBatch(const std::vector<int> &tokens, std::size_t batch,
                         std::size_t seq,
                         const std::vector<std::size_t> &lens);
-
-    /**
-     * Enable/disable ragged (skip-padded-rows) execution inside
-     * forwardBatch. On by default; results are bitwise identical
-     * either way whenever ragged execution is eligible (it is only
-     * taken for supportsMaskedBatch() models). The switch exists for
-     * before/after measurement (bench/serving.cpp) and the parity
-     * tests - there is no correctness reason to turn it off.
-     */
-    void setRaggedBatch(bool enabled) { ragged_batch_ = enabled; }
-    bool raggedBatch() const { return ragged_batch_; }
 
     /**
      * True when every block honours the padding mask exactly
@@ -159,7 +142,6 @@ class SequenceClassifier
     nn::Embedding embedding_;
     std::vector<std::unique_ptr<nn::EncoderBlock>> blocks_;
     nn::MeanPoolClassifier head_;
-    bool ragged_batch_ = true;
 };
 
 /**

@@ -20,13 +20,6 @@ makeLinear(LinearKind kind, std::size_t in, std::size_t out, Rng &rng)
     return std::make_unique<nn::ButterflyDense>(in, out, rng);
 }
 
-/** The trivial all-valid RowSet of an [n, 1, d] step tensor. */
-nn::RowSet
-stepRows(std::size_t n)
-{
-    return nn::RowSet(n, 1, std::vector<std::size_t>(n, 1));
-}
-
 } // namespace
 
 CausalGenerator::CausalGenerator(
@@ -74,7 +67,7 @@ CausalGenerator::headLogits(const Tensor &x,
         std::memcpy(last.data() + b * d,
                     x.data() + (b * x.dim(1) + (lens[b] - 1)) * d,
                     d * sizeof(float));
-    Tensor l3 = head_.forwardRows(last, stepRows(n));
+    Tensor l3 = head_.forwardRows(last, nn::RowSet(n, 1));
     Tensor logits = Tensor::zeros(n, cfg_.vocab);
     std::memcpy(logits.data(), l3.data(),
                 n * cfg_.vocab * sizeof(float));

@@ -72,15 +72,6 @@ class QuantizedSequenceClassifier
         return model_->supportsMaskedBatch();
     }
 
-    /** Ragged (skip-padded-rows) execution toggle - on by default;
-     *  the quantized linears keep the bitwise guarantee either way
-     *  (see model/classifier.h::setRaggedBatch). */
-    void setRaggedBatch(bool enabled)
-    {
-        model_->setRaggedBatch(enabled);
-    }
-    bool raggedBatch() const { return model_->raggedBatch(); }
-
     double evaluate(const std::vector<Example> &data, std::size_t seq,
                     std::size_t batch_size = 16)
     {

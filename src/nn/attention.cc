@@ -123,11 +123,10 @@ headPanels(std::size_t qrows, std::size_t valid, std::size_t dh,
  * set is processed in ascending key order through softmaxRow and one
  * gemmRowsIKJ row call, so TopK with k >= visible reproduces the dense
  * bits and every kind is bitwise run-to-run deterministic. Selection
- * depends only on i and the real prefix, so the ragged/masked/unpadded
+ * depends only on i and the real prefix, so the ragged/unpadded/decode
  * parity argument carries over unchanged.
  *
- * @param i        query position (key index space; may exceed visible
- *                 for discarded padded rows - butterfly clamps)
+ * @param i        query position (key index space, < visible)
  * @param visible  number of visible keys (causal prefix or valid len)
  * @param qi       query head slice, [dh]
  * @param srow     TopK: the query's full score row from the block
@@ -268,38 +267,22 @@ MultiHeadAttention::setSparse(const SparseAttentionConfig &sparse)
 Tensor
 MultiHeadAttention::forward(const Tensor &x)
 {
-    return forwardImpl(x, nullptr);
+    return forwardImpl(x, nullptr, nullptr);
 }
 
 Tensor
-MultiHeadAttention::forwardMasked(const Tensor &x,
-                                  const std::vector<std::size_t> &lens)
-{
-    if (lens.size() != x.dim(0))
-        throw std::invalid_argument(
-            "MultiHeadAttention::forwardMasked: lens size != batch");
-    for (std::size_t L : lens)
-        if (L == 0 || L > x.dim(1))
-            throw std::invalid_argument(
-                "MultiHeadAttention::forwardMasked: len out of [1, t]");
-    return forwardImpl(x, &lens);
-}
-
-Tensor
-MultiHeadAttention::forwardImpl(const Tensor &x,
-                                const std::vector<std::size_t> *lens,
-                                const nn::RowSet *rows,
-                                StepState *capture)
+MultiHeadAttention::forwardImpl(const Tensor &x, const nn::RowSet *rows,
+                                StepState *step)
 {
     if (x.rank() != 3 || x.dim(2) != d_model_)
         throw std::invalid_argument("MultiHeadAttention: [b,t,d] required");
-    b_ = x.dim(0);
-    t_ = x.dim(1);
+    const std::size_t batch = x.dim(0);
+    const std::size_t t = x.dim(1);
     const std::size_t dh = headDim();
     const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
     const bool ragged = rows != nullptr;
 
-    // Dense paths fill the q_/k_/v_/attn_ training caches; the ragged
+    // The training forward fills the q_/k_/v_/attn_ caches; the ragged
     // path is inference-only, so its projections live in locals (no
     // peak-batch tensors retained between requests) and the softmax
     // row normalises in thread scratch instead of materialising the
@@ -310,66 +293,58 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
         kl = proj_k_->forwardRows(x, *rows);
         vl = proj_v_->forwardRows(x, *rows);
     } else {
+        b_ = batch;
+        t_ = t;
         q_ = proj_q_->forward(x);
         k_ = proj_k_->forward(x);
         v_ = proj_v_->forward(x);
-        // attn_ rows: (b * heads + h) * t_  + i  over keys j.
-        attn_ = Tensor::zeros(b_, heads_ * t_, t_);
+        // attn_ rows: (b * heads + h) * t  + i  over keys j.
+        attn_ = Tensor::zeros(batch, heads_ * t, t);
     }
     const Tensor &q = ragged ? ql : q_;
     const Tensor &k = ragged ? kl : k_;
     const Tensor &v = ragged ? vl : v_;
 
-    // Prefill capture: copy each sequence's valid projected K/V rows
-    // into its cache. A pure copy of the ragged locals - the attention
-    // core below neither sees nor depends on it, so captured and
-    // plain forwardRows logits are the same bits.
-    if (capture) {
-        if (!causal_)
-            throw std::logic_error(
-                "MultiHeadAttention::forwardPrefill: causal attention "
-                "required (the cached prefix must be the visible set)");
-        if (capture->caches.size() != b_)
-            throw std::invalid_argument(
-                "MultiHeadAttention::forwardPrefill: cache count != batch");
-        for (std::size_t b = 0; b < b_; ++b) {
-            KVCache &c = *capture->caches[b];
-            if (c.len != 0)
-                throw std::logic_error(
-                    "MultiHeadAttention::forwardPrefill: cache not empty");
-            const std::size_t n = rows->len(b);
+    // Cached calls append each sequence's valid projected K/V rows
+    // before attending, so the keys below include this call's own
+    // rows (the `visible = i + 1` of the causal full forward).
+    if (step) {
+        for (std::size_t b = 0; b < batch; ++b) {
+            KVCache &c = *step->caches[b];
+            const std::size_t n = rows->len(b) * d_model_;
             const float *kr = rowPtr(k, b, 0);
             const float *vr = rowPtr(v, b, 0);
-            c.k.assign(kr, kr + n * d_model_);
-            c.v.assign(vr, vr + n * d_model_);
-            c.len = n;
+            c.k.insert(c.k.end(), kr, kr + n);
+            c.v.insert(c.v.end(), vr, vr + n);
+            c.len += rows->len(b);
         }
     }
 
-    Tensor ctx = Tensor::zeros(b_, t_, d_model_);
+    Tensor ctx = Tensor::zeros(batch, t, d_model_);
     const bool approx = !sparse_.dense();
 
-    // One task per (batch, head): gather that head's Q/K/V slices into
+    // One task per (batch, head): gather that head's K/V slices into
     // contiguous panels, then run its queries through attendBlock in
     // blocks of kQueryBlock rows. Each task writes disjoint attn_ rows
     // and a disjoint ctx column slice, so the parallel loop is
     // deterministic at any thread count.
-    runtime::parallelFor(0, b_ * heads_, 1, [&](std::size_t task0,
-                                                std::size_t task1) {
+    runtime::parallelFor(0, batch * heads_, 1, [&](std::size_t task0,
+                                                   std::size_t task1) {
         for (std::size_t task = task0; task < task1; ++task) {
             const std::size_t b = task / heads_;
             const std::size_t h = task % heads_;
             const std::size_t off = h * dh;
-            // Keys/values past the real prefix are padding: never
-            // gathered, so each real query row runs the exact op
-            // sequence of an unpadded length-`valid` forward.
-            const std::size_t valid =
-                ragged ? rows->len(b) : (lens ? (*lens)[b] : t_);
-            // The masked dense path still computes the padded QUERY
-            // rows (over the real prefix) and discards them
-            // downstream; the ragged path skips them - rows are
-            // independent, so this cannot change the real rows' bits.
-            const std::size_t active = ragged ? valid : t_;
+            // Padded query rows and keys are never gathered, so each
+            // real query row runs the exact op sequence of an unpadded
+            // run. The keys are the sequence's own valid rows, or its
+            // whole cache, in which this call's rows are the last
+            // `active` positions.
+            const std::size_t active = ragged ? rows->len(b) : t;
+            const KVCache *c = step ? step->caches[b] : nullptr;
+            const std::size_t valid = c ? c->len : active;
+            const float *kb = c ? c->k.data() : rowPtr(k, b, 0);
+            const float *vb = c ? c->v.data() : rowPtr(v, b, 0);
+            const std::size_t pos0 = valid - active;
             // qh/ch hold one query block at a time: gathered just
             // before attendBlock, scattered right after.
             const std::size_t qrows = std::min(kQueryBlock, active);
@@ -377,11 +352,11 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
             // K is gathered transposed ([dh, valid]): the B operand of
             // the score GEMM.
             for (std::size_t j = 0; j < valid; ++j) {
-                std::memcpy(p.vh + j * dh, rowPtr(v, b, j) + off,
+                std::memcpy(p.vh + j * dh, vb + j * d_model_ + off,
                             dh * sizeof(float));
-                const float *krow = rowPtr(k, b, j) + off;
-                for (std::size_t c = 0; c < dh; ++c)
-                    p.kht[c * valid + j] = krow[c];
+                const float *krow = kb + j * d_model_ + off;
+                for (std::size_t cc = 0; cc < dh; ++cc)
+                    p.kht[cc * valid + j] = krow[cc];
             }
 
             for (std::size_t i0 = 0; i0 < active; i0 += kQueryBlock) {
@@ -391,10 +366,9 @@ MultiHeadAttention::forwardImpl(const Tensor &x,
                                 dh * sizeof(float));
                 float *ab = ragged ? nullptr
                                    : attn_.data() +
-                                         (b * heads_ * t_ + h * t_ + i0) *
-                                             t_;
-                attendBlock(p, sparse_, causal_, scale, i0, nrows, p.qh,
-                            p.ch, ab, t_);
+                                         (b * heads_ * t + h * t + i0) * t;
+                attendBlock(p, sparse_, causal_, scale, pos0 + i0, nrows,
+                            p.qh, p.ch, ab, t);
                 for (std::size_t r = 0; r < nrows; ++r)
                     std::memcpy(rowPtr(ctx, b, i0 + r) + off, p.ch + r * dh,
                                 dh * sizeof(float));
@@ -411,7 +385,7 @@ MultiHeadAttention::forwardRows(const Tensor &x, const nn::RowSet &rows)
     if (rows.batch() != x.dim(0) || rows.seq() != x.dim(1))
         throw std::invalid_argument(
             "MultiHeadAttention::forwardRows: RowSet shape mismatch");
-    return forwardImpl(x, nullptr, &rows);
+    return forwardImpl(x, &rows, nullptr);
 }
 
 Tensor
@@ -421,7 +395,18 @@ MultiHeadAttention::forwardPrefill(const Tensor &x, const nn::RowSet &rows,
     if (rows.batch() != x.dim(0) || rows.seq() != x.dim(1))
         throw std::invalid_argument(
             "MultiHeadAttention::forwardPrefill: RowSet shape mismatch");
-    return forwardImpl(x, nullptr, &rows, &step);
+    if (!causal_)
+        throw std::logic_error(
+            "MultiHeadAttention::forwardPrefill: causal attention "
+            "required (the cached prefix must be the visible set)");
+    if (step.caches.size() != x.dim(0))
+        throw std::invalid_argument(
+            "MultiHeadAttention::forwardPrefill: cache count != batch");
+    for (const KVCache *c : step.caches)
+        if (c->len != 0)
+            throw std::logic_error(
+                "MultiHeadAttention::forwardPrefill: cache not empty");
+    return forwardImpl(x, &rows, &step);
 }
 
 Tensor
@@ -434,66 +419,15 @@ MultiHeadAttention::forwardStep(const Tensor &x, StepState &step)
         throw std::logic_error(
             "MultiHeadAttention::forwardStep: causal attention required "
             "(the cached prefix must be the visible set)");
-    const std::size_t n = x.dim(0);
-    if (step.caches.size() != n)
+    if (step.caches.size() != x.dim(0))
         throw std::invalid_argument(
             "MultiHeadAttention::forwardStep: cache count != step rows");
-    const std::size_t dh = headDim();
-    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-
-    // The step is a 1-row ragged batch: the projections run their
-    // ordinary forwardRows paths, whose rows are computed independently
-    // with a fixed per-row op order - so each step row's Q/K/V bits
-    // match the corresponding row of a full-recompute projection.
-    const nn::RowSet rows(n, 1, std::vector<std::size_t>(n, 1));
-    const Tensor q = proj_q_->forwardRows(x, rows);
-    const Tensor k = proj_k_->forwardRows(x, rows);
-    const Tensor v = proj_v_->forwardRows(x, rows);
-
-    // Append the new K/V row before attending, so the prefix below
-    // includes the step position itself (the `visible = i + 1` of the
-    // causal full forward).
-    for (std::size_t b = 0; b < n; ++b) {
-        KVCache &c = *step.caches[b];
-        const float *kr = k.data() + b * d_model_;
-        const float *vr = v.data() + b * d_model_;
-        c.k.insert(c.k.end(), kr, kr + d_model_);
-        c.v.insert(c.v.end(), vr, vr + d_model_);
-        ++c.len;
-    }
-
-    Tensor ctx = Tensor::zeros(n, 1, d_model_);
-    const bool approx = !sparse_.dense();
-
-    // One task per (sequence, head), as in forwardImpl: gather the
-    // sequence's cached prefix, then run query L - 1 through
-    // forwardImpl's attendBlock as a one-row block. Its per-output
-    // chains do not depend on the block's row count, so the step row
-    // matches the full recompute's last causal row bit for bit, for
-    // every kind. Tasks write disjoint ctx column slices, so the loop
-    // is deterministic at any thread count.
-    runtime::parallelFor(0, n * heads_, 1, [&](std::size_t task0,
-                                               std::size_t task1) {
-        for (std::size_t task = task0; task < task1; ++task) {
-            const std::size_t b = task / heads_;
-            const std::size_t h = task % heads_;
-            const std::size_t off = h * dh;
-            const KVCache &c = *step.caches[b];
-            const std::size_t L = c.len;
-            const HeadPanels p = headPanels(0, L, dh, 1, approx);
-            for (std::size_t j = 0; j < L; ++j) {
-                const float *kr = c.k.data() + j * d_model_ + off;
-                for (std::size_t cc = 0; cc < dh; ++cc)
-                    p.kht[cc * L + j] = kr[cc];
-                std::memcpy(p.vh + j * dh, c.v.data() + j * d_model_ + off,
-                            dh * sizeof(float));
-            }
-            attendBlock(p, sparse_, causal_, scale, L - 1, 1,
-                        q.data() + b * d_model_ + off,
-                        ctx.data() + b * d_model_ + off, nullptr, 0);
-        }
-    });
-    return proj_o_->forwardRows(ctx, rows);
+    // The step is a one-row ragged batch: each row's K/V is appended
+    // to its cache and the row attends as query L - 1 over the L
+    // cached keys - a one-row block of the same attendBlock, whose
+    // per-output chains do not depend on the block's row count.
+    const nn::RowSet rows(x.dim(0), 1);
+    return forwardImpl(x, &rows, &step);
 }
 
 Tensor

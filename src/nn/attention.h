@@ -44,7 +44,7 @@ class MultiHeadAttention : public Layer
      * Install an approximate-attention configuration
      * (nn/sparse_attention.h): top-k score selection, the butterfly
      * candidate set, or both. Applies to every forward entry point
-     * (forward/forwardMasked/forwardRows/forwardStep/forwardPrefill);
+     * (forward/forwardRows/forwardStep/forwardPrefill);
      * forwardReference stays exact as the tolerance baseline. The
      * approximate paths keep the bitwise determinism contract -
      * identical bits run-to-run at any thread count and batch
@@ -66,51 +66,35 @@ class MultiHeadAttention : public Layer
     Tensor forward(const Tensor &x) override;
 
     /**
-     * Length-masked forward for right-padded batches: sequence b
-     * attends only over its first lens[b] key/value rows and the
-     * softmax normalises over that prefix, so every real query row
-     * performs exactly the floating-point ops of an unpadded length-
-     * lens[b] run - bitwise identical logits, which is what the
-     * serving engine's parity tests pin down. Padded query rows
-     * attend over the same real prefix (finite, deterministic) and
-     * are discarded downstream by the masked pooling head.
-     * Inference-only: backward() after this is undefined.
-     */
-    Tensor forwardMasked(const Tensor &x,
-                         const std::vector<std::size_t> &lens) override;
-
-    /**
-     * Ragged variant of forwardMasked: the Q/K/V/output projections
-     * run through their own forwardRows (skipping padded rows), the
-     * per-(batch, head) core gathers and computes only each sequence's
-     * real prefix - padded QUERY rows, which forwardMasked still
-     * computes and discards, are skipped too - and the softmax-scores
-     * cache (attn_, O(batch * heads * seq^2)) is not materialised.
-     * Every real row's op sequence is unchanged, so valid logits rows
-     * are bitwise identical to forwardMasked at any thread count.
+     * Ragged inference forward (nn/layer.h): the Q/K/V/output
+     * projections run through their own forwardRows (skipping padded
+     * rows), and each (sequence, head) task attends its real query rows
+     * over its real keys only, so every valid row performs exactly the
+     * floating-point ops of an unpadded length-rows.len(b) forward -
+     * bitwise identical at any thread count. The softmax-scores cache
+     * (attn_, O(batch * heads * seq^2)) is not materialised.
      * Inference-only.
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
     /**
      * One incremental decode step over per-sequence K/V prefix caches
-     * (nn/decode.h). @p x is [n_live, 1, d]; the step row's K/V
-     * projections are APPENDED to each sequence's cache, then each
-     * (sequence, head) task attends over the whole cached prefix as a
-     * one-row block of forwardRows' attention core - so the output row
-     * is bitwise identical to a full causal recompute of that
-     * position, at any thread count and any live-set composition.
-     * Requires causal attention (the cached prefix IS the visible
-     * set). Inference-only.
+     * (nn/decode.h): the ragged body over the one-row RowSet of the
+     * [n_live, 1, d] step tensor. Each step row's K/V projections are
+     * APPENDED to its sequence's cache, then the row attends over the
+     * whole cached prefix - bitwise identical to a full causal
+     * recompute of that position, at any thread count and any
+     * live-set composition. Requires causal attention (the cached
+     * prefix IS the visible set). Inference-only.
      */
     Tensor forwardStep(const Tensor &x, StepState &step) override;
 
     /**
-     * Ragged prompt prefill: forwardRows(x, rows) plus K/V capture -
-     * each sequence's first rows.len(b) projected K/V rows are
-     * appended to its (empty) cache in @p step, seeding forwardStep.
-     * Logits bits are unchanged (the capture is a pure copy of the
-     * ragged locals). Requires causal attention. Inference-only.
+     * Ragged prompt prefill: the same body with empty caches in
+     * @p step - each sequence's rows.len(b) projected K/V rows are
+     * appended, then its rows attend over them. Same bits as
+     * forwardRows(x, rows). Requires causal attention and empty
+     * caches. Inference-only.
      */
     Tensor forwardPrefill(const Tensor &x, const RowSet &rows,
                           StepState &step) override;
@@ -155,18 +139,17 @@ class MultiHeadAttention : public Layer
 
   private:
     /**
-     * Shared body of forward/forwardMasked/forwardRows: null lens =
-     * all rows real; non-null rows = ragged inference (skip padded
-     * query rows, projections via forwardRows, no training caches).
-     * One copy of the scores/softmax/context pipeline keeps the three
-     * entry points bitwise-synchronised by construction. @p capture
-     * (ragged path only) is the prefill K/V capture sink: each
-     * sequence's valid projected K/V rows are appended to its cache.
+     * Shared body of every forward entry point. Null @p rows is the
+     * training forward: full-length, fills the q_/k_/v_/attn_ caches.
+     * Otherwise ragged inference (skip padded rows, projections via
+     * forwardRows, no training caches); with @p step, each sequence's
+     * valid K/V rows are appended to its cache first and its rows then
+     * attend over the whole cache, at positions cache.len - rows.len(b)
+     * onward. One copy of the scores/softmax/context pipeline keeps
+     * the entry points bitwise-synchronised by construction.
      */
-    Tensor forwardImpl(const Tensor &x,
-                       const std::vector<std::size_t> *lens,
-                       const nn::RowSet *rows = nullptr,
-                       StepState *capture = nullptr);
+    Tensor forwardImpl(const Tensor &x, const RowSet *rows,
+                       StepState *step);
 
     std::size_t d_model_, heads_;
     bool causal_ = false;

@@ -92,23 +92,7 @@ EncoderBlock::EncoderBlock(std::size_t d_model,
 Tensor
 EncoderBlock::forward(const Tensor &x)
 {
-    return forwardImpl(x, nullptr);
-}
-
-Tensor
-EncoderBlock::forwardMasked(const Tensor &x,
-                            const std::vector<std::size_t> &lens)
-{
-    return forwardImpl(x, &lens);
-}
-
-Tensor
-EncoderBlock::forwardImpl(const Tensor &x,
-                          const std::vector<std::size_t> *lens)
-{
-    // Only the mixer sees the mask; residual adds, layer norms and the
-    // FFN are row-wise and padding-safe.
-    Tensor a = lens ? mixer_->forwardMasked(x, *lens) : mixer_->forward(x);
+    Tensor a = mixer_->forward(x);
     addResidual(a.data(), x.data(), a.size()); // shortcut
     Tensor h = ln1_.forward(a);
 
@@ -118,13 +102,11 @@ EncoderBlock::forwardImpl(const Tensor &x,
 }
 
 Tensor
-EncoderBlock::forwardRows(const Tensor &x, const RowSet &rows)
+EncoderBlock::afterMixer(Tensor a, const Tensor &x, const RowSet &rows)
 {
-    // The ragged chain: every stage skips padded rows (the unmasked
-    // forwardImpl only masks the mixer and lets the row-wise stages
-    // compute-and-discard). Padded rows are zero after every stage.
+    // The ragged chain: every stage skips padded rows, which stay zero
+    // after every stage.
     const std::size_t d = x.shape().back();
-    Tensor a = mixer_->forwardRows(x, rows);
     addResidualRows(a.data(), x.data(), d, rows); // shortcut
     Tensor h = ln1_.forwardRows(a, rows);
 
@@ -134,37 +116,25 @@ EncoderBlock::forwardRows(const Tensor &x, const RowSet &rows)
 }
 
 Tensor
+EncoderBlock::forwardRows(const Tensor &x, const RowSet &rows)
+{
+    return afterMixer(mixer_->forwardRows(x, rows), x, rows);
+}
+
+Tensor
 EncoderBlock::forwardStep(const Tensor &x, StepState &step)
 {
-    // Identical to forwardRows over the trivial all-valid one-row
-    // RowSet, except that the mixer takes its forwardStep path; the
-    // row-wise stages cannot tell the difference (same per-row ops).
-    const std::size_t d = x.shape().back();
-    const RowSet rows(x.dim(0), x.dim(1),
-                      std::vector<std::size_t>(x.dim(0), x.dim(1)));
-    Tensor a = mixer_->forwardStep(x, step);
-    addResidualRows(a.data(), x.data(), d, rows); // shortcut
-    Tensor h = ln1_.forwardRows(a, rows);
-
-    Tensor f = ffn_->forwardRows(h, rows);
-    addResidualRows(f.data(), h.data(), d, rows); // shortcut
-    return ln2_.forwardRows(f, rows);
+    // The row-wise stages see the one-row RowSet: same per-row ops as
+    // the full causal forwardRows.
+    return afterMixer(mixer_->forwardStep(x, step), x,
+                      RowSet(x.dim(0), x.dim(1)));
 }
 
 Tensor
 EncoderBlock::forwardPrefill(const Tensor &x, const RowSet &rows,
                              StepState &step)
 {
-    // forwardRows with the mixer's K/V capture - the mixer's prefill
-    // returns the same bits as its forwardRows, so so does the block.
-    const std::size_t d = x.shape().back();
-    Tensor a = mixer_->forwardPrefill(x, rows, step);
-    addResidualRows(a.data(), x.data(), d, rows); // shortcut
-    Tensor h = ln1_.forwardRows(a, rows);
-
-    Tensor f = ffn_->forwardRows(h, rows);
-    addResidualRows(f.data(), h.data(), d, rows); // shortcut
-    return ln2_.forwardRows(f, rows);
+    return afterMixer(mixer_->forwardPrefill(x, rows, step), x, rows);
 }
 
 Tensor

@@ -63,20 +63,11 @@ class EncoderBlock : public Layer
     Tensor forward(const Tensor &x) override;
 
     /**
-     * Masked variant for right-padded serving batches: the mixer gets
-     * the per-sequence real lengths (attention masks padded keys; see
-     * layer.h), while the residual adds, layer norms and FFN operate
-     * row-wise and need no masking. Inference-only.
-     */
-    Tensor forwardMasked(const Tensor &x,
-                         const std::vector<std::size_t> &lens) override;
-
-    /**
-     * Ragged variant of forwardMasked: every stage - the mixer, both
-     * residual adds, both layer norms and the FFN - iterates the valid
-     * rows only, leaving padded rows zero end to end. Valid rows are
-     * bitwise identical to forwardMasked (and so to unpadded
-     * forward()); inference-only.
+     * Ragged inference forward: every stage - the mixer, both residual
+     * adds, both layer norms and the FFN - iterates the valid rows
+     * only, leaving padded rows zero end to end. Valid rows are
+     * bitwise identical to each sequence's unpadded forward().
+     * Inference-only.
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
@@ -117,9 +108,11 @@ class EncoderBlock : public Layer
     }
 
   private:
-    /** Shared body of forward/forwardMasked; null lens = unmasked. */
-    Tensor forwardImpl(const Tensor &x,
-                       const std::vector<std::size_t> *lens);
+    /**
+     * The chain after the mixer, shared by the three inference entry
+     * points: @p a is the mixer's output for input @p x.
+     */
+    Tensor afterMixer(Tensor a, const Tensor &x, const RowSet &rows);
 
     std::unique_ptr<Layer> mixer_, ffn_;
     LayerNorm ln1_, ln2_;

@@ -3,11 +3,15 @@
  * Per-sequence incremental decode state for autoregressive generation.
  *
  * A decode step is literally a ragged batch of "one new row per live
- * sequence": the step tensor is [n_live, 1, d] and every row-wise layer
- * runs its ordinary forwardRows path over it. Only attention mixes
- * across the sequence, and what it needs from the past is exactly its
- * K/V projections of the previous positions - so each live sequence
- * carries one KVCache per attention layer, appended one row per step.
+ * sequence": the step tensor is [n_live, 1, d] and every layer runs
+ * its ordinary forwardRows path over the one-row RowSet. Only
+ * attention mixes across the sequence, and what it needs from the past
+ * is exactly its K/V projections of the previous positions - so each
+ * live sequence carries one KVCache per attention layer, appended one
+ * row per step. Attention's forwardRows, forwardPrefill and
+ * forwardStep are one body: with a StepState it appends each
+ * sequence's valid K/V rows to its cache, then attends the call's rows
+ * over the whole cache (prefill: empty caches; a step: one row).
  *
  * ## Bitwise contract
  * Incremental decode is BITWISE identical to a full causal recompute
@@ -20,10 +24,10 @@
  *  - causal attention at position i reads only positions <= i, so the
  *    cached K/V rows - captured when those positions were the step
  *    row - are the very values a full recompute would project;
- *  - MultiHeadAttention::forwardStep runs the attention core of
- *    forwardRows on a one-row query block (the step row over the whole
- *    cached prefix), and that core's per-element accumulation chains
- *    do not depend on how many rows a block holds.
+ *  - MultiHeadAttention::forwardStep is forwardRows' body on a
+ *    one-row query block (the step row over the whole cached prefix),
+ *    and that body's per-element accumulation chains do not depend on
+ *    how many rows a block holds.
  * Quantized projections keep the contract: int8 activation
  * quantisation is per-row, fp16 rounding per-element - both
  * row-independent.

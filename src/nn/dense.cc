@@ -348,55 +348,7 @@ QuantizedDense::forward(const Tensor &x)
     if (x.shape().back() != in_)
         throw std::invalid_argument(
             "QuantizedDense::forward: feature mismatch");
-    const std::size_t rows = rowCount(x);
-
-    std::vector<std::size_t> out_shape = x.shape();
-    out_shape.back() = out_;
-    Tensor y(out_shape);
-    const float *px = x.data();
-    float *py = y.data();
-
-    if (kind_ == QuantKind::Fp16) {
-        float *ah = runtime::threadWorkspace<QDenseAhWs>(rows * in_);
-        std::memcpy(ah, px, rows * in_ * sizeof(float));
-        runtime::roundRowToHalf(ah, rows * in_);
-        const float *wt = wt_h_.data();
-        const float *pb = bias_h_.data();
-        const runtime::GemmPlan plan =
-            runtime::planGemmF16(rows, in_, out_);
-        runtime::parallelFor(0, rows, plan.grain,
-                             [&](std::size_t r0, std::size_t r1) {
-                                 runtime::gemmRowsF16(ah, wt, py, r0, r1,
-                                                      in_, out_, pb,
-                                                      plan.mk);
-                             });
-        return y;
-    }
-
-    std::int8_t *aq =
-        runtime::threadWorkspaceAs<QDenseAqWs, std::int8_t>(rows * in_);
-    float *sa = runtime::threadWorkspace<QDenseScaleWs>(rows);
-    runtime::parallelFor(0, rows, 16,
-                         [&](std::size_t r0, std::size_t r1) {
-                             for (std::size_t r = r0; r < r1; ++r) {
-                                 const float *row = px + r * in_;
-                                 sa[r] = runtime::int8Scale(
-                                     runtime::maxAbsRow(row, in_));
-                                 runtime::quantizeInt8Row(
-                                     row, aq + r * in_, in_, sa[r]);
-                             }
-                         });
-    const std::int16_t *bp = bp_.data();
-    const float *sb = wscale_.data();
-    const float *pb = bias_.data();
-    const runtime::GemmPlan plan = runtime::planGemmInt8(rows, in_, out_);
-    runtime::parallelFor(0, rows, plan.grain,
-                         [&](std::size_t r0, std::size_t r1) {
-                             runtime::gemmRowsInt8(aq, bp, py, r0, r1,
-                                                   in_, out_, sa, sb,
-                                                   pb);
-                         });
-    return y;
+    return forwardRows(x, nn::RowSet(rowCount(x), 1));
 }
 
 Tensor
@@ -582,12 +534,7 @@ QuantizedButterflyDense::forward(const Tensor &x)
     if (x.shape().back() != op_.inFeatures())
         throw std::invalid_argument(
             "QuantizedButterflyDense::forward: feature mismatch");
-    const std::size_t rows = x.size() / op_.inFeatures();
-    std::vector<std::size_t> out_shape = x.shape();
-    out_shape.back() = op_.outFeatures();
-    const Tensor y =
-        op_.applyBatch(x.reshaped({rows, op_.inFeatures()}));
-    return y.reshaped(out_shape);
+    return forwardRows(x, nn::RowSet(rowCount(x), 1));
 }
 
 Tensor

@@ -143,11 +143,13 @@ class QuantizedDense : public Layer
   public:
     QuantizedDense(const Dense &dense, QuantKind kind);
 
+    /** forwardRows over every row of @p x (any rank, each row its own
+     *  one-row sequence). */
     Tensor forward(const Tensor &x) override;
 
     /** Ragged forward: per-row activation quantisation (int8) /
      *  binary16 rounding (fp16) and the GEMM panel run over valid row
-     *  spans only. Valid rows bitwise equal forward(); padded rows 0. */
+     *  spans only; padded rows 0. */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
     Tensor backward(const Tensor &grad_out) override;
@@ -178,6 +180,8 @@ class QuantizedButterflyDense : public Layer
   public:
     QuantizedButterflyDense(const ButterflyDense &dense, QuantKind kind);
 
+    /** forwardRows over every row of @p x (any rank, each row its own
+     *  one-row sequence). */
     Tensor forward(const Tensor &x) override;
 
     /** Ragged forward: packed-gather into the stage-major quantized

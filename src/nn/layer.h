@@ -43,44 +43,27 @@ class Layer
     virtual Tensor forward(const Tensor &x) = 0;
 
     /**
-     * Inference-only forward over a right-padded batch: @p lens[b] is
-     * the number of real (non-pad) rows of sequence b; rows beyond it
-     * are padding. The default forwards unchanged, which is exact for
-     * every layer that treats sequence rows independently (linears,
-     * activations, LayerNorm, FFN) - padding can never bleed into real
-     * rows there. Layers that mix across the sequence override this:
-     * MultiHeadAttention restricts keys/values and the softmax to the
-     * real prefix, which makes each real row's arithmetic identical to
-     * an unpadded run (the serving engine's bitwise guarantee).
-     * FourierMix has no masked form (the FFT is global over the padded
-     * length), so serving it is only reproducible against inference at
-     * the same padded length. Does not update backward() caches
-     * coherently for masked rows; do not train through this path.
-     */
-    virtual Tensor forwardMasked(const Tensor &x,
-                                 const std::vector<std::size_t> &lens)
-    {
-        (void)lens;
-        return forward(x);
-    }
-
-    /**
-     * Ragged extension of forwardMasked(): the same masked-inference
-     * contract, driven by a prebuilt RowSet so row-wise layers can
-     * SKIP padded rows instead of computing and discarding them.
-     * Valid rows are bitwise identical to forwardMasked(x, rows.lens())
-     * - and therefore to an unpadded run - at any thread count; padded
-     * output rows are zero for overriding layers and unspecified (but
-     * finite and deterministic) for the fallback. The default
-     * delegates to forwardMasked(), which is always correct, merely
-     * not ragged; layers whose row loop dominates override it (Dense,
-     * QuantizedDense, butterfly linears, LayerNorm, activations,
-     * attention, the FFN and encoder block). Inference-only, like
-     * forwardMasked: backward() caches are not maintained.
+     * The inference path: forward over a right-padded [batch, seq, d]
+     * batch in which sequence b's first rows.len(b) rows are real and
+     * the rest padding. Every valid row is bitwise identical to that
+     * sequence's own unpadded forward() at any thread count; padded
+     * output rows are zero for overriding layers. A dense batch is the
+     * padding-free RowSet(batch, seq). Layers whose row loop dominates
+     * override this to SKIP padded rows (Dense, QuantizedDense,
+     * butterfly linears, LayerNorm, activations, the FFN and encoder
+     * block), and MultiHeadAttention restricts keys, values and the
+     * softmax to each sequence's real prefix. The default runs
+     * forward(x) over every row, pads included, which keeps the valid
+     * rows exact for row-wise layers. FourierMix keeps the default: its
+     * FFT is global over the padded length, so it reports
+     * supportsMasking() false and SequenceClassifier::forwardBatch
+     * hands such models the padding-free set only. Inference-only:
+     * backward() caches are not maintained.
      */
     virtual Tensor forwardRows(const Tensor &x, const RowSet &rows)
     {
-        return forwardMasked(x, rows.lens());
+        (void)rows;
+        return forward(x);
     }
 
     /**
@@ -88,9 +71,9 @@ class Layer
      * tensor (one new row per live sequence) and @p step carries each
      * sequence's K/V cache for this layer plus the row's absolute
      * position. Row-wise layers need neither and the default - the
-     * layer's own forwardRows over the trivial all-valid RowSet - is
-     * exact for them; MultiHeadAttention overrides to append the step
-     * row's K/V projections and attend over the cached prefix, bitwise
+     * layer's own forwardRows over the one-row RowSet - is exact for
+     * them; MultiHeadAttention overrides to append the step row's K/V
+     * projections and attend over the cached prefix, bitwise
      * identical to a full causal recompute of the same position
      * (nn/decode.h states the induction; `ctest -L decode-parity`
      * pins it). Inference-only.
@@ -98,9 +81,7 @@ class Layer
     virtual Tensor forwardStep(const Tensor &x, StepState &step)
     {
         (void)step;
-        return forwardRows(
-            x, RowSet(x.dim(0), x.dim(1),
-                      std::vector<std::size_t>(x.dim(0), x.dim(1))));
+        return forwardRows(x, RowSet(x.dim(0), x.dim(1)));
     }
 
     /**
@@ -119,13 +100,12 @@ class Layer
     }
 
     /**
-     * Whether forwardMasked() honours the padding mask exactly: true
-     * for row-wise layers (the default is exact for them) and for
-     * layers that implement masking; false for layers that mix across
-     * the sequence without a masked form (FourierMix). Composite
-     * layers forward the query to their children. The serving engine
-     * uses this to refuse models whose served results would depend on
-     * padding.
+     * Whether forwardRows() honours padding exactly: true for row-wise
+     * layers and for layers that implement masking; false for layers
+     * that mix across the sequence without a masked form (FourierMix).
+     * Composite layers forward the query to their children. The
+     * serving engine uses this to refuse models whose served results
+     * would depend on padding.
      */
     virtual bool supportsMasking() const { return true; }
 

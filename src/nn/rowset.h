@@ -28,8 +28,8 @@
  * chunk boundaries never depend on the thread count, and every span
  * kernel in this repo computes each row from that row's inputs with a
  * fixed per-row operation order. Skipping rows therefore cannot change
- * any valid row's bits: ragged execution is bitwise identical to the
- * full padded computation (tests/serving_test.cpp, `ragged-parity`).
+ * any valid row's bits: ragged execution is bitwise identical to
+ * running each sequence alone, unpadded (`ragged-parity`).
  */
 #ifndef FABNET_NN_ROWSET_H
 #define FABNET_NN_ROWSET_H
@@ -68,6 +68,12 @@ class RowSet
                     "RowSet: len out of [1, seq]");
             start_[b + 1] = start_[b] + lens_[b];
         }
+    }
+
+    /** The padding-free set: all @p seq rows of every sequence valid. */
+    RowSet(std::size_t batch, std::size_t seq)
+        : RowSet(batch, seq, std::vector<std::size_t>(batch, seq))
+    {
     }
 
     std::size_t batch() const { return batch_; }

@@ -1,9 +1,10 @@
 #include "nn/serialize.h"
 
 #include <cstdint>
-#include <cstring>
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 namespace fabnet {
 namespace nn {
@@ -30,11 +31,15 @@ writeValue(std::FILE *f, const T &v)
     return std::fwrite(&v, sizeof(T), 1, f) == 1;
 }
 
+/** Read a T at @p off of @p buf, advancing @p off. */
 template <typename T>
-bool
-readValue(std::FILE *f, T &v)
+T
+takeValue(const std::vector<char> &buf, std::size_t &off)
 {
-    return std::fread(&v, sizeof(T), 1, f) == 1;
+    T v;
+    std::memcpy(&v, buf.data() + off, sizeof(T));
+    off += sizeof(T);
+    return v;
 }
 
 } // namespace
@@ -66,27 +71,37 @@ saveParams(const std::vector<ParamRef> &params, const std::string &path)
 bool
 loadParams(const std::vector<ParamRef> &params, const std::string &path)
 {
+    // All or nothing: the file is read whole and validated against the
+    // layout before any parameter is written, so a truncated, corrupted
+    // or over-long file leaves every parameter untouched.
+    std::size_t expected = sizeof(kMagic) + sizeof(kVersion) +
+                           sizeof(std::uint64_t);
+    for (const auto &p : params)
+        expected += sizeof(std::uint64_t) + p.value->size() * sizeof(float);
     FilePtr f(std::fopen(path.c_str(), "rb"));
     if (!f)
         return false;
-    char magic[4];
-    if (std::fread(magic, 1, 4, f.get()) != 4 ||
-        std::memcmp(magic, kMagic, 4) != 0)
+    // One byte past the expected size exposes trailing bytes.
+    std::vector<char> buf(expected + 1);
+    if (std::fread(buf.data(), 1, buf.size(), f.get()) != expected)
         return false;
-    std::uint32_t version = 0;
-    if (!readValue(f.get(), version) || version != kVersion)
+    if (std::memcmp(buf.data(), kMagic, sizeof(kMagic)) != 0)
         return false;
-    std::uint64_t count = 0;
-    if (!readValue(f.get(), count) || count != params.size())
+    std::size_t off = sizeof(kMagic);
+    if (takeValue<std::uint32_t>(buf, off) != kVersion ||
+        takeValue<std::uint64_t>(buf, off) != params.size())
         return false;
-    for (const auto &p : params) {
-        std::uint64_t len = 0;
-        if (!readValue(f.get(), len) || len != p.value->size())
+    std::vector<std::size_t> payload(params.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+        const std::size_t len = params[i].value->size();
+        if (takeValue<std::uint64_t>(buf, off) != len)
             return false;
-        if (len && std::fread(p.value->data(), sizeof(float), len,
-                              f.get()) != len)
-            return false;
+        payload[i] = off;
+        off += len * sizeof(float);
     }
+    for (std::size_t i = 0; i < params.size(); ++i)
+        std::memcpy(params[i].value->data(), buf.data() + payload[i],
+                    params[i].value->size() * sizeof(float));
     return true;
 }
 

@@ -25,7 +25,10 @@ bool saveParams(const std::vector<ParamRef> &params,
 
 /**
  * Load parameter values from @p path into @p params.
- * The layout (vector count and sizes) must match exactly.
+ * The layout (vector count and sizes) must match exactly and the file
+ * must end right after the last vector. All or nothing: on failure
+ * (missing, truncated, corrupted or over-long file) no parameter is
+ * written.
  * @return success.
  */
 bool loadParams(const std::vector<ParamRef> &params,

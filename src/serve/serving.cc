@@ -455,8 +455,8 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
         stats_.padded_tokens += bsz * seq;
         stats_.tight_tokens += bsz * max_len;
         // Padded rows this batch skipped end to end (forwardBatch
-        // takes the ragged path exactly under these conditions).
-        if (model_.raggedBatch() && model_.supportsMaskedBatch())
+        // runs every row for models without a masked form).
+        if (model_.supportsMaskedBatch())
             stats_.rows_skipped += bsz * seq - real;
     }
     for (std::size_t i = 0; i < bsz; ++i) {

@@ -129,8 +129,8 @@ struct ServingStats : ReliabilityStats
      *  count a max-length-padded (bucket-free) batch would hold. */
     std::size_t tight_tokens = 0;
     /** Padded activation rows ragged execution skipped (padded -
-     *  real positions of batches served down the ragged path; 0 when
-     *  the model is not maskable or ragged execution is disabled). */
+     *  real positions of the batches served; 0 when the model is not
+     *  maskable, since forwardBatch then runs every row). */
     std::size_t rows_skipped = 0;
     /** Requests whose deadline passed while their batch was executing
      *  (the computed logits are discarded). */

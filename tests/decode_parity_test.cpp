@@ -7,7 +7,7 @@
  * for fp32 and int8/fp16-quantized linears, Dense and Butterfly
  * projections, and under any admission/eviction interleaving of the
  * live set. Plus the causal+ragged audit regression: causal
- * MultiHeadAttention's ragged path vs its dense masked path with odd
+ * MultiHeadAttention's ragged path vs unpadded forward with odd
  * straddling lengths.
  */
 #include <gtest/gtest.h>

@@ -247,7 +247,8 @@ TEST_F(ParallelKernelsTest, SimBatchCrossValidation)
 // --------------------------------------------------- ragged parity
 //
 // The ragged (skip-padded-rows) forward of every row-wise layer must
-// be bitwise identical to the dense masked path over the VALID rows -
+// be bitwise identical to each sequence's unpadded forward over the
+// VALID rows -
 // and leave padded rows exactly zero - at threads {1, 4, 8}, across
 // degenerate length vectors (batch of 1, all-equal/no-padding,
 // all-single-token, max-straddle mixes). `ctest -L ragged-parity`.
@@ -334,9 +335,9 @@ TEST_F(ParallelKernelsTest, RaggedLayerNormAndActivationParity)
 
 TEST_F(ParallelKernelsTest, RaggedAttentionParity)
 {
-    // forwardRows vs forwardMasked: the ragged core computes only the
-    // real prefix (queries AND keys) and skips the attn_ cache, yet
-    // valid rows must match the masked path bit for bit - causal too.
+    // forwardRows vs unpadded forward: the ragged core computes only
+    // the real prefix (queries AND keys) and skips the attn_ cache, yet
+    // valid rows must match bit for bit - causal too.
     // The long shapes add lengths straddling the 32-row query block
     // and the 32-key column tile.
     const AttnShape shapes[] = {{9, 12, 3}, {67, 64, 2}, {130, 64, 2}};

@@ -1,12 +1,19 @@
 /**
  * @file serialize_test.cpp
  * Checkpoint round trips: save/load of model parameters, layout
- * validation, and behavioural equivalence after reload.
+ * validation, behavioural equivalence after reload, and a malformed-
+ * file sweep (truncations, corrupted fields, trailing bytes) that must
+ * be rejected without touching any parameter.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "model/builder.h"
 #include "nn/serialize.h"
@@ -109,6 +116,116 @@ TEST(Serialize, MissingFileFails)
     auto model = buildModel(tinyCfg(), rng);
     EXPECT_FALSE(
         nn::loadParams(model->params(), "/nonexistent/dir/x.bin"));
+}
+
+std::vector<char>
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeBytes(const std::string &path, const std::vector<char> &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Serialize, MalformedFilesRejectedWithoutTouchingParams)
+{
+    Rng rng(7);
+    auto source = buildModel(tinyCfg(), rng);
+    const auto path = tempPath("fab_malformed.bin");
+    ASSERT_TRUE(nn::saveParams(source->params(), path));
+    const std::vector<char> good = readBytes(path);
+
+    // A differently initialised target: any partial load shows.
+    Rng rng2(8);
+    auto target = buildModel(tinyCfg(), rng2);
+    const auto params = target->params();
+    std::vector<std::vector<float>> before;
+    for (const auto &p : params)
+        before.push_back(*p.value);
+
+    // Layout offsets: 16-byte header (magic, u32 version, u64 count),
+    // then per vector a u64 length at len_at[i] and its payload up to
+    // end_at[i].
+    const std::size_t header = 16;
+    std::vector<std::size_t> len_at, end_at;
+    std::size_t off = header;
+    for (const auto &p : params) {
+        len_at.push_back(off);
+        off += 8 + p.value->size() * sizeof(float);
+        end_at.push_back(off);
+    }
+    ASSERT_EQ(off, good.size());
+
+    std::vector<std::pair<std::string, std::vector<char>>> cases;
+    const auto truncated = [&](std::size_t n) {
+        cases.emplace_back("truncated to " + std::to_string(n),
+                           std::vector<char>(good.begin(),
+                                             good.begin() + n));
+    };
+    for (std::size_t n = 0; n < header; ++n)
+        truncated(n);
+    for (std::size_t i = 0; i < params.size(); ++i) {
+        for (std::size_t n = len_at[i]; n < len_at[i] + 8; ++n)
+            truncated(n);
+        truncated(end_at[i] - 1);
+        if (end_at[i] + 1 < good.size())
+            truncated(end_at[i] + 1);
+    }
+    Rng pick(9);
+    for (int k = 0; k < 32; ++k) {
+        const std::size_t i = static_cast<std::size_t>(
+            pick.randint(0, static_cast<int>(params.size()) - 1));
+        const std::size_t lo = len_at[i] + 8, hi = end_at[i];
+        if (hi > lo)
+            truncated(static_cast<std::size_t>(pick.randint(
+                static_cast<int>(lo), static_cast<int>(hi) - 1)));
+    }
+    const auto patched = [&](const std::string &what, std::size_t at,
+                             std::uint64_t v) {
+        std::vector<char> bytes = good;
+        std::memcpy(bytes.data() + at, &v, sizeof(v));
+        cases.emplace_back(what, std::move(bytes));
+    };
+    const std::uint64_t count = params.size();
+    for (std::uint64_t v : {count - 1, count + 1, std::uint64_t{0},
+                            ~std::uint64_t{0}})
+        patched("count " + std::to_string(v), 8, v);
+    for (std::size_t i = 0; i < params.size(); ++i) {
+        const std::uint64_t len = params[i].value->size();
+        for (std::uint64_t v : {len - 1, len + 1, std::uint64_t{1} << 62})
+            patched("vector " + std::to_string(i) + " length " +
+                        std::to_string(v),
+                    len_at[i], v);
+    }
+    for (std::size_t extra : {1u, 7u, 64u}) {
+        std::vector<char> bytes = good;
+        bytes.insert(bytes.end(), extra, '\x5a');
+        cases.emplace_back(std::to_string(extra) + " trailing bytes",
+                           std::move(bytes));
+    }
+
+    for (const auto &[what, bytes] : cases) {
+        writeBytes(path, bytes);
+        EXPECT_FALSE(nn::loadParams(params, path)) << what;
+        bool untouched = true;
+        for (std::size_t i = 0; i < params.size(); ++i) {
+            untouched &= std::memcmp(params[i].value->data(),
+                                     before[i].data(),
+                                     before[i].size() * sizeof(float)) == 0;
+            *params[i].value = before[i]; // next case starts clean
+        }
+        EXPECT_TRUE(untouched) << what << ": parameters written";
+    }
+
+    // The intact file still loads.
+    writeBytes(path, good);
+    EXPECT_TRUE(nn::loadParams(params, path));
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "model/builder.h"
@@ -265,13 +267,23 @@ TEST_F(ServingTest, CausalModelServesBitwiseToo)
 
 // --------------------------------------------- ragged batch parity
 
-TEST_F(ServingTest, RaggedForwardBatchBitwiseMatchesPaddedPath)
+/** Right-pad @p reqs into one flat [reqs.size() * seq] token batch. */
+std::vector<int>
+padTokens(const std::vector<std::vector<int>> &reqs, std::size_t seq)
 {
-    // The tentpole contract: forwardBatch with ragged execution
-    // (skip padded rows end-to-end) is bitwise identical to the dense
-    // masked path - and therefore to serial unpadded forward - for
-    // degenerate shapes (batch of 1, all-equal lengths, single-token
-    // sequences, max-straddle buckets) at threads {1, 4, 8}.
+    std::vector<int> tokens(reqs.size() * seq, 0);
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        std::copy(reqs[i].begin(), reqs[i].end(), tokens.begin() + i * seq);
+    return tokens;
+}
+
+TEST_F(ServingTest, RaggedForwardBatchBitwiseMatchesUnpaddedForward)
+{
+    // The serving contract: forwardBatch with ragged execution (skip
+    // padded rows end-to-end) is bitwise identical to serial unpadded
+    // forward for degenerate shapes (batch of 1, all-equal lengths,
+    // single-token sequences, max-straddle buckets) at threads
+    // {1, 4, 8}.
     const std::size_t seq = 32;
     const std::vector<std::vector<std::size_t>> shapes = {
         {20},                    // batch of 1, padded
@@ -283,27 +295,71 @@ TEST_F(ServingTest, RaggedForwardBatchBitwiseMatchesPaddedPath)
         const ModelConfig cfg = tinyCfg(kind);
         Rng rng(211);
         auto model = buildModel(cfg, rng);
-        ASSERT_TRUE(model->raggedBatch()); // on by default
         for (const auto &lens : shapes) {
             const auto reqs = makeRequests(lens, cfg.vocab, 97);
-            std::vector<int> tokens(lens.size() * seq, 0);
-            for (std::size_t i = 0; i < reqs.size(); ++i)
-                std::copy(reqs[i].begin(), reqs[i].end(),
-                          tokens.begin() + i * seq);
-
-            model->setRaggedBatch(false);
-            const Tensor want =
-                model->forwardBatch(tokens, lens.size(), seq, lens);
-            model->setRaggedBatch(true);
+            const std::vector<int> tokens = padTokens(reqs, seq);
+            runtime::setNumThreads(1);
+            const auto want = serveSerial(*model, reqs);
             for (std::size_t threads : kThreadCounts) {
                 runtime::setNumThreads(threads);
                 const Tensor got =
                     model->forwardBatch(tokens, lens.size(), seq, lens);
-                EXPECT_TRUE(bitwiseEqual(got, want))
+                std::vector<std::vector<float>> rows;
+                for (std::size_t b = 0; b < lens.size(); ++b)
+                    rows.emplace_back(got.data() + b * cfg.classes,
+                                      got.data() + (b + 1) * cfg.classes);
+                EXPECT_TRUE(bitwiseEqual(rows, want))
                     << "kind=" << static_cast<int>(kind)
                     << " batch=" << lens.size()
                     << " threads=" << threads;
             }
+        }
+    }
+}
+
+TEST_F(ServingTest, FourierForwardBatchMatchesSamePaddedLength)
+{
+    // Models that cannot mask (FNet, all-FBfly FABNet) run every row of
+    // the padded batch, pads included. Their contract (docs/API.md):
+    // without padding forwardBatch equals forward, and row b of a
+    // padded batch equals that padded row served alone at the same
+    // seq, at threads {1, 4, 8}.
+    const std::size_t seq = 16;
+    const std::vector<std::size_t> lens = {16, 3, 9, 1, 16};
+    const std::vector<std::size_t> full(lens.size(), seq);
+    for (ModelKind kind : {ModelKind::FNet, ModelKind::FABNet}) {
+        ModelConfig cfg = tinyCfg(kind);
+        cfg.n_abfly = 0; // FABNet: every block FBfly
+        Rng rng(229);
+        auto model = buildModel(cfg, rng);
+        ASSERT_FALSE(model->supportsMaskedBatch());
+        const std::vector<int> tokens =
+            padTokens(makeRequests(lens, cfg.vocab, 131), seq);
+
+        runtime::setNumThreads(1);
+        const Tensor dense = model->forward(tokens, lens.size(), seq);
+        std::vector<Tensor> alone;
+        for (std::size_t b = 0; b < lens.size(); ++b)
+            alone.push_back(model->forwardBatch(
+                std::vector<int>(tokens.begin() + b * seq,
+                                 tokens.begin() + (b + 1) * seq),
+                1, seq, {lens[b]}));
+        for (std::size_t threads : kThreadCounts) {
+            runtime::setNumThreads(threads);
+            const std::string tag = "kind=" +
+                                    std::to_string(static_cast<int>(kind)) +
+                                    " threads=" + std::to_string(threads);
+            EXPECT_TRUE(testutil::bitwiseEqual(
+                model->forwardBatch(tokens, lens.size(), seq, full), dense))
+                << tag;
+            const Tensor got =
+                model->forwardBatch(tokens, lens.size(), seq, lens);
+            for (std::size_t b = 0; b < lens.size(); ++b)
+                EXPECT_EQ(std::memcmp(got.data() + b * cfg.classes,
+                                      alone[b].data(),
+                                      cfg.classes * sizeof(float)),
+                          0)
+                    << tag << " row " << b;
         }
     }
 }
@@ -363,15 +419,19 @@ TEST_F(ServingTest, StatsReportBatchCompositionOverheadAndSkippedRows)
         EXPECT_DOUBLE_EQ(st.padOverheadBatch(), 1.0 - 84.0 / 96.0);
         EXPECT_EQ(st.rows_skipped, 128u - 84u);
     }
-    // With ragged execution off the engine must report zero skipped
-    // rows (the padded work really ran).
-    model->setRaggedBatch(false);
+    // A model that cannot mask runs every padded row, so the engine
+    // must report zero skipped rows.
+    ModelConfig fnet = cfg;
+    fnet.kind = ModelKind::FNet;
+    auto fourier = buildModel(fnet, rng);
+    sc.allow_unmasked_mixers = true;
     {
-        ServingEngine engine(*model, sc);
+        ServingEngine engine(*fourier, sc);
         engine.serveAll(makeRequests({10, 12}, cfg.vocab, 107));
+        EXPECT_GT(engine.stats().padded_tokens,
+                  engine.stats().real_tokens);
         EXPECT_EQ(engine.stats().rows_skipped, 0u);
     }
-    model->setRaggedBatch(true);
 }
 
 // --------------------------------------------------- async behaviour

@@ -5,8 +5,8 @@
  * lowest-index tie-breaking; TopK attention with k >= t degenerates
  * BITWISE to the dense path (and ButterflyTopK to Butterfly); every
  * approximate kind is bitwise run-to-run deterministic at thread
- * counts {1,4,8}, bitwise invariant between the ragged and dense
- * masked paths, and bitwise identical between incremental decode and
+ * counts {1,4,8}, bitwise invariant between the ragged path and
+ * unpadded forward, and bitwise identical between incremental decode and
  * full recompute; approximate outputs stay within PINNED tolerance
  * bounds of exact attention; and the straight-through backward keeps
  * the fast-vs-reference gradient bitwise parity.
@@ -176,7 +176,7 @@ TEST_F(SparseAttentionTest, SetSparseRejectsTopKWithoutK)
 
 TEST_F(SparseAttentionTest, TopKCoveringAllKeysIsBitwiseDense)
 {
-    // {t, d, masked lens}: t = 130 at d = 64 spans several 32-row
+    // {t, d, ragged lens}: t = 130 at d = 64 spans several 32-row
     // query blocks and 32-key column tiles, and its lens straddle both.
     const struct
     {
@@ -198,13 +198,14 @@ TEST_F(SparseAttentionTest, TopKCoveringAllKeysIsBitwiseDense)
                         << "t=" << t << " causal=" << causal
                         << " k=" << k << " threads=" << threads;
                 });
-                // Masked batch too: selection sees only the real prefix.
+                // Ragged batch too: selection sees only the real prefix.
+                const nn::RowSet rows(sh.lens.size(), t, sh.lens);
                 runtime::setNumThreads(1);
-                const Tensor want_m = exact->forwardMasked(x, sh.lens);
+                const Tensor want_m = exact->forwardRows(x, rows);
                 forEachThreadCount([&](std::size_t threads) {
-                    EXPECT_TRUE(bitwiseEqual(
-                        topk->forwardMasked(x, sh.lens), want_m))
-                        << "masked t=" << t << " causal=" << causal
+                    EXPECT_TRUE(bitwiseEqual(topk->forwardRows(x, rows),
+                                             want_m))
+                        << "ragged t=" << t << " causal=" << causal
                         << " k=" << k << " threads=" << threads;
                 });
             }
@@ -286,8 +287,7 @@ TEST_F(SparseAttentionTest, ApproxDecodeStepMatchesFullRecompute)
     for (const auto &sp : approxKinds()) {
         auto mha = makeAttention(59, sp, /*causal=*/true);
         runtime::setNumThreads(1);
-        const Tensor ref =
-            mha->forwardMasked(x, std::vector<std::size_t>(b, t));
+        const Tensor ref = mha->forward(x);
         forEachThreadCount([&](std::size_t threads) {
             const std::string tag =
                 std::string(sparseKindName(sp.kind)) +

@@ -433,19 +433,44 @@ paddedRowsZero(const Tensor &got, const nn::RowSet &rows)
 }
 
 /**
- * The ragged-parity check: run the layer's dense masked path once at
- * one thread as the baseline, then forwardRows at each kThreadCounts
- * entry - valid rows must be BITWISE identical to the baseline, and
- * padded rows must be exactly zero (the ragged chain invariant that
- * lets downstream layers skip them). @p x must satisfy the
- * padded-rows-zero invariant itself (use raggedInput()).
+ * The unpadded baseline of a ragged batch: each sequence's valid rows
+ * run alone through the layer's forward() as a [1, rows.len(b), d]
+ * batch, scattered back into a zero [batch, seq, d_out] tensor.
+ */
+inline Tensor
+unpaddedForward(nn::Layer &layer, const Tensor &x, const nn::RowSet &rows)
+{
+    const std::size_t d = x.dim(2);
+    Tensor want;
+    for (std::size_t b = 0; b < rows.batch(); ++b) {
+        const std::size_t n = rows.len(b);
+        Tensor xb({1, n, d});
+        std::memcpy(xb.data(), x.data() + b * rows.seq() * d,
+                    n * d * sizeof(float));
+        const Tensor yb = layer.forward(xb);
+        const std::size_t d_out = yb.dim(2);
+        if (b == 0)
+            want = Tensor({rows.batch(), rows.seq(), d_out});
+        std::memcpy(want.data() + b * rows.seq() * d_out, yb.data(),
+                    n * d_out * sizeof(float));
+    }
+    return want;
+}
+
+/**
+ * The ragged-parity check: run each sequence's own unpadded forward()
+ * once at one thread as the baseline, then forwardRows at each
+ * kThreadCounts entry - valid rows must be BITWISE identical to the
+ * baseline, and padded rows must be exactly zero (the ragged chain
+ * invariant that lets downstream layers skip them). @p x must satisfy
+ * the padded-rows-zero invariant itself (use raggedInput()).
  */
 inline void
 expectRaggedForwardParity(nn::Layer &layer, const Tensor &x,
                           const nn::RowSet &rows, const std::string &tag)
 {
     runtime::setNumThreads(1);
-    const Tensor want = layer.forwardMasked(x, rows.lens());
+    const Tensor want = unpaddedForward(layer, x, rows);
     forEachThreadCount([&](std::size_t threads) {
         const Tensor got = layer.forwardRows(x, rows);
         EXPECT_TRUE(validRowsBitwiseEqual(got, want, rows))
