@@ -18,7 +18,6 @@
 #include "butterfly/qbutterfly.h"
 #include "nn/attention.h"
 #include "nn/dense.h"
-#include "runtime/autotune.h"
 #include "runtime/isa.h"
 #include "runtime/kernels.h"
 #include "runtime/parallel.h"
@@ -510,21 +509,11 @@ BENCHMARK(BM_HalfRoundTrip);
 // Custom main instead of BENCHMARK_MAIN(): the JSON context must carry
 // the execution identity a reader needs to compare runs across
 // machines - which dispatch level actually ran (runtime::isa()), the
-// host CPU signature, whether the build specialised for the build box
-// (-march=native; docs/BENCHMARKS.md requires this to be stamped), and
-// the autotuner's chosen tiles. The GEMM plans are warmed here, before
-// google-benchmark snapshots the context, so the report lists the
-// tiles the matmul cases below will run with (and the timed loops
-// never pay the one-off search).
+// host CPU signature, and whether the build specialised for the build
+// box (-march=native; docs/BENCHMARKS.md requires this to be stamped).
 int
 main(int argc, char **argv)
 {
-    for (const std::size_t n : {std::size_t{128}, std::size_t{512}}) {
-        (void)runtime::planGemmF32(n, n, n);
-        (void)runtime::planGemmInt8(n, n, n);
-    }
-    (void)runtime::planGemmF16(512, 512, 512);
-
     benchmark::AddCustomContext("isa", runtime::isa());
     benchmark::AddCustomContext("cpu_signature", runtime::cpuSignature());
 #ifdef FABNET_BUILT_NATIVE
@@ -532,7 +521,6 @@ main(int argc, char **argv)
 #else
     benchmark::AddCustomContext("march_native", "false");
 #endif
-    benchmark::AddCustomContext("tuning", runtime::tuningReport());
 
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))

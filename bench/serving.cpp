@@ -52,7 +52,6 @@
 #include "model/builder.h"
 #include "model/generator.h"
 #include "nn/embedding.h"
-#include "runtime/autotune.h"
 #include "runtime/isa.h"
 #include "runtime/parallel.h"
 #include "serve/generation.h"
@@ -159,13 +158,11 @@ runModel(const char *label, const ModelConfig &cfg,
     bench::rule();
     std::printf("model %s: %s\n", label, cfg.describe().c_str());
 
-    // Warmup: thread pool spin-up, workspace growth, and - since the
-    // autotuner searches on first sight of a shape - every batch
-    // size the timed cases will run. Batched warmups use
-    // the FULL request set: group row counts depend on how many
-    // requests share a bucket, so a truncated warmup would form
-    // smaller groups and miss the tuning keys of the real run,
-    // landing one-time searches inside a measured scenario.
+    // Warmup: thread pool spin-up and workspace growth for every batch
+    // size the timed cases will run. Batched warmups use the FULL
+    // request set: group row counts depend on how many requests share
+    // a bucket, so a truncated warmup would form smaller groups and
+    // leave workspace growth inside a measured scenario.
     {
         const std::size_t n_warm =
             std::min<std::size_t>(8, reqs.size());
@@ -765,8 +762,8 @@ runLongContext(const data::LongRangeScenario &sc, std::size_t n_reqs)
         Rng rng(23);
         auto model = buildModel(cfg, rng);
         serve::ServingEngine engine(*model);
-        // Warmup with the full stream: autotuner searches key on the
-        // exact batch shapes the timed run will see.
+        // Warmup with the full stream, so pool spin-up and workspace
+        // growth for the timed run's batch shapes happen here.
         auto out = engine.serveAll(reqs);
         const auto t0 = Clock::now();
         out = engine.serveAll(reqs);
@@ -893,9 +890,8 @@ main(int argc, char **argv)
             return 1;
         }
         // Execution identity (docs/BENCHMARKS.md): which dispatch
-        // level ran, on what CPU, whether the build specialised for
-        // the build box, and the tiles the autotuner settled on while
-        // the scenarios above ran.
+        // level ran, on what CPU, and whether the build specialised
+        // for the build box.
         std::fprintf(f,
                      "{\n  \"bench\": \"serving\",\n"
                      "  \"isa\": \"%s\",\n"
@@ -905,11 +901,9 @@ main(int argc, char **argv)
 #else
                      "  \"march_native\": false,\n"
 #endif
-                     "  \"tuning\": %s,\n"
                      "  \"threads\": %zu,\n  \"requests\": %zu,\n"
                      "  \"lengths\": \"4..32\",\n  \"cases\": [\n",
                      runtime::isa(), runtime::cpuSignature().c_str(),
-                     runtime::tuningReport().c_str(),
                      runtime::numThreads(), reqs.size());
         for (std::size_t i = 0; i < cases.size(); ++i) {
             const auto &c = cases[i];

@@ -19,7 +19,6 @@ constexpr std::size_t kQBatchRows = runtime::kBflyBlockRows;
 
 /** Workspace tags; distinct element types get distinct storage. */
 struct QMatI8Ws;    ///< int8 activations
-struct QMatI32Ws;   ///< int32 stage outputs (one row)
 struct QMatI16Ws;   ///< int16 stage outputs (stage-major block)
 struct QMatScaleWs; ///< per-row scales
 struct QMatF16Ws;   ///< fp16-representable float activations
@@ -159,45 +158,6 @@ QuantizedButterflyMatrix::applyReference(const float *in,
 }
 
 void
-QuantizedButterflyMatrix::apply(const float *in, float *out) const
-{
-    if (kind_ == QuantKind::Fp16) {
-        float *buf = runtime::threadWorkspace<QMatF16Ws>(n_);
-        for (std::size_t i = 0; i < n_; ++i)
-            buf[i] = roundToHalf(in[i]);
-        for (std::size_t s = 0; s < stages_; ++s) {
-            const float *ws = wh_.data() + s * (n_ / 2) * 4;
-            for (std::size_t p = 0; p < n_ / 2; ++p) {
-                std::size_t i1, i2;
-                ButterflyMatrix::pairIndices(s, p, i1, i2);
-                const float x1 = buf[i1], x2 = buf[i2];
-                const float *w = ws + p * 4;
-                buf[i1] = runtime::f16PairOut(w[0], x1, w[1], x2);
-                buf[i2] = runtime::f16PairOut(w[2], x1, w[3], x2);
-            }
-        }
-        std::memcpy(out, buf, n_ * sizeof(float));
-        return;
-    }
-
-    const float m_in = runtime::maxAbsRow(in, n_);
-    if (m_in == 0.0f) {
-        std::memset(out, 0, n_ * sizeof(float));
-        return;
-    }
-    float scale = runtime::int8Scale(m_in);
-    std::int8_t *q =
-        runtime::threadWorkspaceAs<QMatI8Ws, std::int8_t>(n_);
-    std::int32_t *y =
-        runtime::threadWorkspaceAs<QMatI32Ws, std::int32_t>(n_);
-    runtime::quantizeInt8Row(in, q, n_, scale);
-    scale = int8StagesRow(wq_.data(), wscale_.data(), n_, stages_, scale,
-                          q, y);
-    for (std::size_t i = 0; i < n_; ++i)
-        out[i] = static_cast<float>(q[i]) * scale;
-}
-
-void
 QuantizedButterflyMatrix::applyRows(const float *in, float *out,
                                     std::size_t rows) const
 {
@@ -294,31 +254,14 @@ QuantizedButterflyLinear::QuantizedButterflyLinear(
 }
 
 void
-QuantizedButterflyLinear::apply(const float *in, float *out) const
-{
-    float *scratch = runtime::threadWorkspace<QLinWs>(2 * core_n_);
-    float *padded = scratch;
-    float *core_out = scratch + core_n_;
-    std::fill(padded, padded + core_n_, 0.0f);
-    std::memcpy(padded, in, in_ * sizeof(float));
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-        cores_[c].apply(padded, core_out);
-        const std::size_t base = c * core_n_;
-        const std::size_t take = std::min(core_n_, out_ - base);
-        biasEpilogueRow(kind_, core_out, bias_.data() + base, out + base,
-                        take);
-    }
-}
-
-void
 QuantizedButterflyLinear::applyToRows(const float *in, float *out,
                                       std::size_t rows) const
 {
     // Mirrors ButterflyLinear::applyToRows: stage-major blocks of
     // kQBatchRows padded rows, per-core sweeps, quantized bias
-    // epilogue on the truncated copy-out. Exactly equal to per-row
-    // apply() for any chunking (the int8 path is integer-exact, the
-    // fp16 path shares its rounding points).
+    // epilogue on the truncated copy-out. Exactly equal to
+    // applyBatchReference() for any chunking (the int8 path is
+    // integer-exact, the fp16 path shares its rounding points).
     for (std::size_t b0 = 0; b0 < rows; b0 += kQBatchRows) {
         const std::size_t nb = std::min(kQBatchRows, rows - b0);
         float *scratch =

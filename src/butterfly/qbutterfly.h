@@ -50,15 +50,9 @@ class QuantizedButterflyMatrix
     const std::vector<float> &stageScales() const { return wscale_; }
 
     /**
-     * y = Wq x for one fp32 vector (quantize -> stages -> dequantize).
-     * Allocation-free in the steady state; safe to call concurrently.
-     */
-    void apply(const float *in, float *out) const;
-
-    /**
      * Stage-major batched apply for @p rows contiguous vectors, the
      * quantized analogue of ButterflyMatrix::applyRows. Exactly equal
-     * to per-row apply()/applyReference().
+     * to per-row applyReference().
      */
     void applyRows(const float *in, float *out, std::size_t rows) const;
 
@@ -97,17 +91,14 @@ class QuantizedButterflyLinear
     std::size_t numCores() const { return cores_.size(); }
     QuantKind kind() const { return kind_; }
 
-    /** y = Wq x + b for one vector; allocation-free steady state. */
-    void apply(const float *in, float *out) const;
-
     /** Row-parallel batch apply ([rows, in] -> [rows, out]). */
     Tensor applyBatch(const Tensor &x) const;
 
     /**
      * Serial stage-major apply over @p rows contiguous vectors (the
      * body one applyBatch task runs; see ButterflyLinear::applyToRows)
-     * for ragged valid-row-span callers. Exactly equal to per-row
-     * apply() for any @p rows.
+     * for ragged valid-row-span callers. Exactly equal to
+     * applyBatchReference() for any @p rows.
      */
     void applyToRows(const float *in, float *out, std::size_t rows) const;
 

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "runtime/autotune.h"
 #include "runtime/kernels.h"
 #include "runtime/parallel.h"
 #include "runtime/reduce.h"
@@ -146,10 +145,9 @@ Dense::forward(const Tensor &x)
     float *wt = runtime::threadWorkspace<DenseWtWs>(in_ * out_);
     runtime::transposeInto(wt, w_.data(), out_, in_);
     const float *pw = wt;
-    const runtime::GemmPlan plan = runtime::planGemmF32(rows, in_, out_);
-    runtime::parallelFor(0, rows, plan.grain,
+    runtime::parallelFor(0, rows, runtime::kGemmRowGrain,
                          [&](std::size_t r0, std::size_t r1) {
-        runtime::gemmRowsIKJ(px, pw, py, r0, r1, in_, out_, pb, plan.mk);
+        runtime::gemmRowsIKJ(px, pw, py, r0, r1, in_, out_, pb);
     });
     return y;
 }
@@ -193,11 +191,9 @@ Dense::forwardRows(const Tensor &x, const nn::RowSet &rows)
     float *wt = runtime::threadWorkspace<DenseWtWs>(in_ * out_);
     runtime::transposeInto(wt, w_.data(), out_, in_);
     const float *pw = wt;
-    const runtime::GemmPlan plan =
-        runtime::planGemmF32(rows.totalRows(), in_, out_);
-    nn::forEachRowSpan(rows, plan.grain,
+    nn::forEachRowSpan(rows, runtime::kGemmRowGrain,
                        [&](std::size_t r0, std::size_t r1) {
-        runtime::gemmRowsIKJ(px, pw, py, r0, r1, in_, out_, pb, plan.mk);
+        runtime::gemmRowsIKJ(px, pw, py, r0, r1, in_, out_, pb);
     });
     return y;
 }
@@ -373,15 +369,12 @@ QuantizedDense::forwardRows(const Tensor &x, const nn::RowSet &rows)
             runtime::threadWorkspace<QDenseAhWs>(padded_rows * in_);
         const float *wt = wt_h_.data();
         const float *pb = bias_h_.data();
-        const runtime::GemmPlan plan =
-            runtime::planGemmF16(rows.totalRows(), in_, out_);
-        nn::forEachRowSpan(rows, plan.grain,
+        nn::forEachRowSpan(rows, runtime::kGemmRowGrain,
                            [&](std::size_t r0, std::size_t r1) {
             std::memcpy(ah + r0 * in_, px + r0 * in_,
                         (r1 - r0) * in_ * sizeof(float));
             runtime::roundRowToHalf(ah + r0 * in_, (r1 - r0) * in_);
-            runtime::gemmRowsF16(ah, wt, py, r0, r1, in_, out_, pb,
-                                 plan.mk);
+            runtime::gemmRowsF16(ah, wt, py, r0, r1, in_, out_, pb);
         });
         return y;
     }
@@ -394,7 +387,8 @@ QuantizedDense::forwardRows(const Tensor &x, const nn::RowSet &rows)
     const float *pb = bias_.data();
     // Activation quantisation is per row (dynamic scale), so fusing it
     // with the GEMM sweep over the same spans is exact.
-    nn::forEachRowSpan(rows, 8, [&](std::size_t r0, std::size_t r1) {
+    nn::forEachRowSpan(rows, runtime::kGemmRowGrain,
+                       [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
             const float *row = px + r * in_;
             sa[r] = runtime::int8Scale(runtime::maxAbsRow(row, in_));

@@ -66,8 +66,6 @@ butterflyCandidates(std::size_t i, std::size_t n, std::uint32_t *out)
 {
     if (n == 0)
         return 0;
-    if (i >= n)
-        i = n - 1; // padded query row: attend as the last real position
     std::size_t m = 0;
     out[m++] = static_cast<std::uint32_t>(i);
     for (std::size_t bit = 1; bit < n; bit <<= 1) {

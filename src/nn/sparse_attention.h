@@ -86,9 +86,8 @@ std::size_t selectTopK(const float *scores, std::size_t n,
 /**
  * Butterfly candidate set for query @p i over keys [0, n): {i} plus
  * {i ^ 2^s : 2^s < n} intersected with [0, n), written to @p out in
- * ascending order; returns the count (>= 1 for n >= 1). A query index
- * beyond the key range (a padded row the caller discards downstream)
- * clamps to n - 1 so the set is never empty. @p out needs capacity
+ * ascending order; returns the count (>= 1 for n >= 1). Requires
+ * i < n: a query sees its own position. @p out needs capacity
  * butterflyCandidateBound(n).
  */
 std::size_t butterflyCandidates(std::size_t i, std::size_t n,

@@ -32,32 +32,10 @@
 namespace fabnet {
 namespace runtime {
 
-/** One fp32 GEMM micro-kernel register shape (MR rows x NR cols). */
-struct GemmKernelShape
-{
-    int mr, nr;
-};
-
-/**
- * The fp32 micro-kernel menu, indexed by the `mk` argument of
- * KernelTable::gemm_f32 (and by GemmPlan::mk from the autotuner).
- * Entry 0 is the historical compile-time choice (4x32). Any entry
- * produces bitwise-identical results - the register shape partitions
- * the output, never an accumulation chain - so the autotuner is free
- * to pick by speed alone.
- */
-inline constexpr GemmKernelShape kGemmKernels[] = {
-    {4, 32}, {4, 16}, {4, 64}, {8, 32}, {8, 16}, {2, 32},
-};
-inline constexpr int kNumGemmKernels =
-    static_cast<int>(sizeof(kGemmKernels) / sizeof(kGemmKernels[0]));
-/** The default micro-kernel (the pre-dispatch 4x32 tile). */
-inline constexpr int kDefaultGemmKernel = 0;
-
 /**
  * Function-pointer table for one compiled kernel variant. Pointer
  * arguments follow the wrappers in kernels.h, which document the
- * semantics; `mk` selects a kGemmKernels register shape.
+ * semantics.
  */
 struct KernelTable
 {
@@ -67,7 +45,7 @@ struct KernelTable
     /** fp32 GEMM panel: C[r0..r1) = (bias|0) + A[r0..r1) * B. */
     void (*gemm_f32)(const float *a, const float *b, float *c,
                      std::size_t r0, std::size_t r1, std::size_t k,
-                     std::size_t n, const float *bias, int mk);
+                     std::size_t n, const float *bias);
 
     /** int8 GEMM panel over the packInt8PairsB layout. */
     void (*gemm_i8)(const std::int8_t *a, const std::int16_t *bp,
@@ -184,7 +162,7 @@ const KernelTable &kernelTableAvx512();
 const KernelTable &kernelTableAvx512Vnni();
 
 /**
- * Table for an explicit level (tests / autotuner probes). Returns
+ * Table for an explicit level (tests and benches). Returns
  * nullptr when the HOST cannot execute that variant - callers must
  * not invoke entries of an unsupported table.
  */

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "runtime/autotune.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
 #define FABNET_ISA_X86 1
@@ -251,6 +253,13 @@ cpuSignature()
         return s;
     }();
     return sig;
+}
+
+std::string
+tuningReport()
+{
+    return std::string("{\"isa\": \"") + isa() +
+           "\", \"cpu_signature\": \"" + cpuSignature() + "\"}";
 }
 
 } // namespace runtime

@@ -59,8 +59,7 @@ const char *isa();
  * Stable human-readable CPU signature: brand string plus the feature
  * flags the dispatcher cares about, e.g.
  * "Intel(R) Xeon(R) ... | avx2 f16c fma avx512f avx512bw avx512dq
- * avx512vl". Keys the on-disk tuning cache (autotune.h) so tiles
- * tuned on one machine are never silently replayed on another.
+ * avx512vl". Benches and engine stats record it with isa().
  */
 const std::string &cpuSignature();
 

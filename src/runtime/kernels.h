@@ -12,8 +12,10 @@
  * pinned in kernels_common.h (madd contraction, int8 quantise/
  * dequantise expressions, binary16 rounding points); the variant
  * bodies live in kernels_impl.h, compiled once per ISA level with
- * per-TU -m flags. See dispatch.h for the parity argument per family
- * and autotune.h for how the `mk` micro-kernel index is chosen.
+ * per-TU -m flags. See dispatch.h for the parity argument per family.
+ * The fp32/fp16 panels run one 4x32 register tile and callers split
+ * rows in chunks of kGemmRowGrain (kernels_common.h); the measurement
+ * behind both is in docs/ARCHITECTURE.md, "One GEMM tile".
  *
  * ## Quantized variants
  * The int8 panel (gemmRowsInt8) mirrors the fp32 tiling but multiplies
@@ -42,16 +44,16 @@ namespace runtime {
 /**
  * C[r0..r1) = (bias|0) + A[r0..r1) * B for row-major A [m,k], B [k,n],
  * C [m,n]; bias (length n, may be null) initialises each output row.
- * OVERWRITES the C rows. Register-tiled; @p mk selects a kGemmKernels
- * register shape (results are bitwise identical for every shape - use
- * planGemmF32() from autotune.h to pick the fast one).
+ * OVERWRITES the C rows. Register-tiled (kGemmTileM x kGemmTileN);
+ * each output is one k-ascending madd chain, so any row split gives
+ * the same bits.
  */
 inline void
 gemmRowsIKJ(const float *a, const float *b, float *c, std::size_t r0,
             std::size_t r1, std::size_t k, std::size_t n,
-            const float *bias = nullptr, int mk = kDefaultGemmKernel)
+            const float *bias = nullptr)
 {
-    kernels().gemm_f32(a, b, c, r0, r1, k, n, bias, mk);
+    kernels().gemm_f32(a, b, c, r0, r1, k, n, bias);
 }
 
 /** Largest |x| over @p n contiguous floats. */
@@ -165,10 +167,10 @@ softmaxRow(float *s, std::size_t n, float scale)
 inline void
 gemmRowsF16(const float *a, const float *b, float *c, std::size_t r0,
             std::size_t r1, std::size_t k, std::size_t n,
-            const float *bias = nullptr, int mk = kDefaultGemmKernel)
+            const float *bias = nullptr)
 {
     const KernelTable &t = kernels();
-    t.gemm_f32(a, b, c, r0, r1, k, n, bias, mk);
+    t.gemm_f32(a, b, c, r0, r1, k, n, bias);
     for (std::size_t r = r0; r < r1; ++r)
         t.round_row_to_half(c + r * n, n);
 }

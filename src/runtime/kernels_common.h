@@ -40,11 +40,15 @@ madd(float a, float b, float c)
     return a * b + c;
 }
 
-/** Column tile width of the default GEMM micro-kernel (and the packed
- *  int8 B panel width). */
+/** Column tile width of the GEMM micro-kernel (and the packed int8 B
+ *  panel width). */
 constexpr std::size_t kGemmTileN = 32;
-/** Row tile height of the default GEMM micro-kernel. */
+/** Row tile height of the GEMM micro-kernel. */
 constexpr std::size_t kGemmTileM = 4;
+/** Rows per parallel chunk at every GEMM call site (a multiple of
+ *  kGemmTileM). Tile and grain only partition work, never an output's
+ *  accumulation chain, so neither can change a result. */
+constexpr std::size_t kGemmRowGrain = 8;
 
 /** Stage-major block width of the batched butterfly paths: callers
  *  (butterfly.cc, qbutterfly.cc) lay activations out as transposed
@@ -104,9 +108,9 @@ dequantInt8(std::int32_t acc, float a_scale, float b_scale,
 
 /**
  * The one requantisation scale-update expression of the int8
- * butterfly. Every int8 path (scalar reference, workspace apply,
- * stage-major batch, every ISA variant) must call this identically or
- * exact parity breaks: two rounded multiplies, in this association.
+ * butterfly. Every int8 path (scalar reference, stage-major batch,
+ * every ISA variant) must call this identically or exact parity
+ * breaks: two rounded multiplies, in this association.
  */
 inline float
 int8StageScale(float scale, float w_scale, std::int32_t m)

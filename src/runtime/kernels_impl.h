@@ -20,10 +20,10 @@
  *   FABNET_KV_VNNI    1 to enable the VNNI int8 dot-product tile
  *
  * ## The parity argument, per family
- * - fp32/fp16 GEMM: all register shapes keep one k-ascending
+ * - fp32/fp16 GEMM: the register tile keeps one k-ascending
  *   accumulator chain per output element through the pinned madd
  *   (mul+add in every TU, -ffp-contract=off build-wide), so every
- *   variant and every micro-kernel shape is bitwise identical.
+ *   variant, row split and thread count is bitwise identical.
  * - int8 GEMM: int32 accumulation is exact; scalar, vpmaddwd and
  *   vpdpwssd tiles compute identical integers.
  * - butterfly stages: y = w0*x1 + w1*x2 is a single madd expression
@@ -63,19 +63,22 @@ namespace FABNET_KV_NS {
 
 // ------------------------------------------------------- fp32 GEMM
 
+/** The one fp32 register tile, kGemmTileM x kGemmTileN. */
+constexpr int kMr = static_cast<int>(kGemmTileM);
+constexpr int kNr = static_cast<int>(kGemmTileN);
+
 /**
  * One register tile: C[i0..i0+mr) x [j0..j0+jn) = (bias|0) + A * B.
- * mr <= MR rows, jn <= NR columns. The accumulators live in a
+ * mr <= kMr rows, jn <= kNr columns. The accumulators live in a
  * fixed-size local array the whole k loop, so there is no C traffic
  * (and no load/store rounding detour) inside the hot loop.
  */
-template <int MR, int NR>
 inline void
 gemmTile(const float *a, const float *b, float *c, std::size_t i0,
          std::size_t mr, std::size_t j0, std::size_t jn, std::size_t k,
          std::size_t n, const float *bias)
 {
-    float acc[MR][NR];
+    float acc[kMr][kNr];
     for (std::size_t r = 0; r < mr; ++r) {
         if (bias) {
             for (std::size_t j = 0; j < jn; ++j)
@@ -85,21 +88,21 @@ gemmTile(const float *a, const float *b, float *c, std::size_t i0,
                 acc[r][j] = 0.0f;
         }
     }
-    if (mr == static_cast<std::size_t>(MR) &&
-        jn == static_cast<std::size_t>(NR)) {
+    if (mr == static_cast<std::size_t>(kMr) &&
+        jn == static_cast<std::size_t>(kNr)) {
         // Full tile: constant trip counts so the compiler keeps the
-        // MRxNR accumulator block in vector registers.
-        const float *ar[MR];
-        for (int r = 0; r < MR; ++r)
+        // kMr x kNr accumulator block in vector registers.
+        const float *ar[kMr];
+        for (int r = 0; r < kMr; ++r)
             ar[r] = a + (i0 + r) * k;
         for (std::size_t kk = 0; kk < k; ++kk) {
             const float *brow = b + kk * n + j0;
-            float av[MR];
-            for (int r = 0; r < MR; ++r)
+            float av[kMr];
+            for (int r = 0; r < kMr; ++r)
                 av[r] = ar[r][kk];
-            for (int j = 0; j < NR; ++j) {
+            for (int j = 0; j < kNr; ++j) {
                 const float bv = brow[j];
-                for (int r = 0; r < MR; ++r)
+                for (int r = 0; r < kMr; ++r)
                     acc[r][j] = madd(av[r], bv, acc[r][j]);
             }
         }
@@ -117,52 +120,21 @@ gemmTile(const float *a, const float *b, float *c, std::size_t i0,
         std::memcpy(c + (i0 + r) * n + j0, acc[r], jn * sizeof(float));
 }
 
-/** Panel of MRxNR tiles over C rows [r0, r1). */
-template <int MR, int NR>
-void
-gemmPanel(const float *a, const float *b, float *c, std::size_t r0,
-          std::size_t r1, std::size_t k, std::size_t n,
-          const float *bias)
-{
-    for (std::size_t i = r0; i < r1;
-         i += static_cast<std::size_t>(MR)) {
-        const std::size_t mr =
-            (i + MR <= r1) ? static_cast<std::size_t>(MR) : r1 - i;
-        for (std::size_t j = 0; j < n;
-             j += static_cast<std::size_t>(NR)) {
-            const std::size_t jn =
-                (j + NR <= n) ? static_cast<std::size_t>(NR) : n - j;
-            gemmTile<MR, NR>(a, b, c, i, mr, j, jn, k, n, bias);
-        }
-    }
-}
-
+/** Panel of kMr x kNr tiles over C rows [r0, r1). */
 void
 gemmF32(const float *a, const float *b, float *c, std::size_t r0,
-        std::size_t r1, std::size_t k, std::size_t n, const float *bias,
-        int mk)
+        std::size_t r1, std::size_t k, std::size_t n, const float *bias)
 {
-    // Indices must match runtime::kGemmKernels (dispatch.h).
-    switch (mk) {
-    case 1:
-        gemmPanel<4, 16>(a, b, c, r0, r1, k, n, bias);
-        return;
-    case 2:
-        gemmPanel<4, 64>(a, b, c, r0, r1, k, n, bias);
-        return;
-    case 3:
-        gemmPanel<8, 32>(a, b, c, r0, r1, k, n, bias);
-        return;
-    case 4:
-        gemmPanel<8, 16>(a, b, c, r0, r1, k, n, bias);
-        return;
-    case 5:
-        gemmPanel<2, 32>(a, b, c, r0, r1, k, n, bias);
-        return;
-    case 0:
-    default:
-        gemmPanel<4, 32>(a, b, c, r0, r1, k, n, bias);
-        return;
+    for (std::size_t i = r0; i < r1;
+         i += static_cast<std::size_t>(kMr)) {
+        const std::size_t mr =
+            (i + kMr <= r1) ? static_cast<std::size_t>(kMr) : r1 - i;
+        for (std::size_t j = 0; j < n;
+             j += static_cast<std::size_t>(kNr)) {
+            const std::size_t jn =
+                (j + kNr <= n) ? static_cast<std::size_t>(kNr) : n - j;
+            gemmTile(a, b, c, i, mr, j, jn, k, n, bias);
+        }
     }
 }
 

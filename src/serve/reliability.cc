@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "runtime/autotune.h"
 #include "runtime/isa.h"
 #include "runtime/workspace.h"
 
@@ -200,7 +199,6 @@ ReliabilityCore::stamp(ReliabilityStats &out) const
 {
     out.isa = runtime::isa();
     out.cpu_signature = runtime::cpuSignature();
-    out.tuning = runtime::tuningReport();
     out.watchdog_fired = watchdog_fired_.load();
 }
 

@@ -220,12 +220,8 @@ struct ReliabilityStats
     /** Kernel variant the runtime dispatcher selected at startup
      *  (runtime::isa()): "scalar", "avx2", "avx512", "avx512vnni". */
     std::string isa;
-    /** CPU brand + feature signature (runtime::cpuSignature()); keys
-     *  the autotuner's on-disk plan cache. */
+    /** CPU brand + feature signature (runtime::cpuSignature()). */
     std::string cpu_signature;
-    /** Autotuner state snapshot (runtime::tuningReport()): JSON with
-     *  every tuned (shape, threads) -> (tile, grain) entry. */
-    std::string tuning;
 
     std::size_t requests = 0;  ///< admitted (submit(), serveAll())
     std::size_t completed = 0; ///< futures fulfilled with a result

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "runtime/autotune.h"
 #include "runtime/kernels.h"
 #include "runtime/parallel.h"
 #include "runtime/reduce.h"
@@ -35,10 +34,6 @@ requireSameShape(const Tensor &a, const Tensor &b, const char *what)
                                     a.shapeString() + " vs " +
                                     b.shapeString());
 }
-
-/** Rows per parallel chunk for the GEMM paths (multiple of the 4-row
- *  register panel in runtime/kernels.h). */
-constexpr std::size_t kGemmGrain = 8;
 
 /** Workspace tag for matmulTransposed's per-call B^T copy. */
 struct MatmulTWs;
@@ -243,11 +238,9 @@ matmul(const Tensor &a, const Tensor &b)
     const float *pa = a.data();
     const float *pb = b.data();
     float *pc = c.data();
-    const runtime::GemmPlan plan = runtime::planGemmF32(m, k, n);
-    runtime::parallelFor(0, m, plan.grain,
+    runtime::parallelFor(0, m, runtime::kGemmRowGrain,
                          [&](std::size_t r0, std::size_t r1) {
-                             runtime::gemmRowsIKJ(pa, pb, pc, r0, r1, k,
-                                                  n, nullptr, plan.mk);
+                             runtime::gemmRowsIKJ(pa, pb, pc, r0, r1, k, n);
                          });
     return c;
 }
@@ -270,11 +263,9 @@ matmulTransposed(const Tensor &a, const Tensor &b)
     // bitwise identical to the scalar dot-product reference.
     float *bt = runtime::threadWorkspace<MatmulTWs>(k * n);
     runtime::transposeInto(bt, b.data(), n, k);
-    const runtime::GemmPlan plan = runtime::planGemmF32(m, k, n);
-    runtime::parallelFor(0, m, plan.grain,
+    runtime::parallelFor(0, m, runtime::kGemmRowGrain,
                          [&](std::size_t r0, std::size_t r1) {
-                             runtime::gemmRowsIKJ(pa, bt, pc, r0, r1, k,
-                                                  n, nullptr, plan.mk);
+                             runtime::gemmRowsIKJ(pa, bt, pc, r0, r1, k, n);
                          });
     return c;
 }
@@ -305,7 +296,8 @@ matmulGradB(const Tensor &a, const Tensor &grad_c)
     // the disjoint row range [i0, i1) of dL/dB and accumulates the m
     // contributions in the reference's ascending-r order, walking gC
     // row-major per r so the inner loop stays contiguous.
-    runtime::parallelFor(0, k, runtime::ownerGrain(k, kGemmGrain),
+    runtime::parallelFor(0, k,
+                         runtime::ownerGrain(k, runtime::kGemmRowGrain),
                          [&](std::size_t i0, std::size_t i1) {
         for (std::size_t r = 0; r < m; ++r) {
             const float *arow = pa + r * k;
@@ -344,8 +336,7 @@ matmulInt8(const Tensor &a, const Tensor &b)
 
     Tensor c = Tensor::zeros(m, n);
     float *pc = c.data();
-    const runtime::GemmPlan plan = runtime::planGemmInt8(m, k, n);
-    runtime::parallelFor(0, m, plan.grain,
+    runtime::parallelFor(0, m, runtime::kGemmRowGrain,
                          [&](std::size_t r0, std::size_t r1) {
                              runtime::gemmRowsInt8(aq, bp, pc, r0, r1,
                                                    k, n, sa, sb);
@@ -370,11 +361,9 @@ matmulF16(const Tensor &a, const Tensor &b)
 
     Tensor c = Tensor::zeros(m, n);
     float *pc = c.data();
-    const runtime::GemmPlan plan = runtime::planGemmF16(m, k, n);
-    runtime::parallelFor(0, m, plan.grain,
+    runtime::parallelFor(0, m, runtime::kGemmRowGrain,
                          [&](std::size_t r0, std::size_t r1) {
-                             runtime::gemmRowsF16(aw, bw, pc, r0, r1, k,
-                                                  n, nullptr, plan.mk);
+                             runtime::gemmRowsF16(aw, bw, pc, r0, r1, k, n);
                          });
     return c;
 }

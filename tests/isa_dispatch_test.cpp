@@ -3,12 +3,13 @@
  * The runtime-dispatch contract (runtime/isa.h + runtime/dispatch.h):
  *   - kernelTableFor() hands out a table exactly for the levels the
  *     host supports, correctly labelled, and support is monotone
- *     (a level implies everything below it),
+ *     (a level implies everything below it), and tuningReport()
+ *     names the active level and the cpu signature,
  *   - EVERY host-reachable variant table is bitwise identical to the
  *     scalar table (== ops::reference, pinned by the existing parity
- *     suites) for every kernel family it exports: fp32 GEMM across
- *     the whole micro-kernel menu, the int8 GEMM panel, the row
- *     reductions/conversions, the fp32/fp16/int8 butterfly stage
+ *     suites) for every kernel family it exports: the fp32 GEMM
+ *     register tile, the int8 GEMM panel, the row reductions/
+ *     conversions, the fp32/fp16/int8 butterfly stage
  *     sweeps at the one 16-lane block width (int8 up to its int16
  *     bound) and the block edge kernels at 1, 5 and 16 valid rows
  *     with exact-zero padding lanes, and the GELU / softmax rows on
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/autotune.h"
 #include "runtime/dispatch.h"
 #include "runtime/isa.h"
 #include "runtime/kernels.h"
@@ -47,7 +49,6 @@ namespace {
 using runtime::Isa;
 using runtime::KernelTable;
 using runtime::kernelTableFor;
-using runtime::kNumGemmKernels;
 using runtime::kNumIsaLevels;
 using testutil::bitwiseEqual;
 using testutil::forEachThreadCount;
@@ -100,6 +101,19 @@ TEST_F(IsaDispatchTest, SupportIsMonotoneAndTablesAreLabelled)
     EXPECT_STREQ(runtime::isa(), runtime::isaName(runtime::activeIsa()));
     EXPECT_EQ(runtime::kernels().level, runtime::activeIsa());
     EXPECT_FALSE(runtime::cpuSignature().empty());
+
+    // The execution identity perfbench's stamp embeds.
+    const std::string report = runtime::tuningReport();
+    EXPECT_EQ(report.front(), '{') << report;
+    EXPECT_EQ(report.back(), '}') << report;
+    EXPECT_NE(report.find("\"isa\": \"" + std::string(runtime::isa()) +
+                          "\""),
+              std::string::npos)
+        << report;
+    EXPECT_NE(report.find("\"cpu_signature\": \"" +
+                          runtime::cpuSignature() + "\""),
+              std::string::npos)
+        << report;
 }
 
 TEST_F(IsaDispatchTest, GemmF32EveryVariantEveryTileMatchesReference)
@@ -110,21 +124,18 @@ TEST_F(IsaDispatchTest, GemmF32EveryVariantEveryTileMatchesReference)
         const Tensor b = rng.normalTensor({s.k, s.n});
         const Tensor ref = ops::reference::matmul(a, b);
         for (const KernelTable *t : supportedTables()) {
-            for (int mk = 0; mk < kNumGemmKernels; ++mk) {
-                forEachThreadCount([&](std::size_t threads) {
-                    Tensor c = Tensor::zeros(s.m, s.n);
-                    // Odd grain so panels straddle the register tile.
-                    runtime::parallelFor(
-                        0, s.m, 3, [&](std::size_t r0, std::size_t r1) {
-                            t->gemm_f32(a.data(), b.data(), c.data(), r0,
-                                        r1, s.k, s.n, nullptr, mk);
-                        });
-                    EXPECT_TRUE(bitwiseEqual(c, ref))
-                        << t->name << " mk=" << mk << " threads="
-                        << threads << " shape " << s.m << "x" << s.k
-                        << "x" << s.n;
-                });
-            }
+            forEachThreadCount([&](std::size_t threads) {
+                Tensor c = Tensor::zeros(s.m, s.n);
+                // Odd grain so panels straddle the register tile.
+                runtime::parallelFor(
+                    0, s.m, 3, [&](std::size_t r0, std::size_t r1) {
+                        t->gemm_f32(a.data(), b.data(), c.data(), r0, r1,
+                                    s.k, s.n, nullptr);
+                    });
+                EXPECT_TRUE(bitwiseEqual(c, ref))
+                    << t->name << " threads=" << threads << " shape "
+                    << s.m << "x" << s.k << "x" << s.n;
+            });
         }
     }
 }

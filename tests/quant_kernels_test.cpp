@@ -134,27 +134,6 @@ TEST_F(QuantKernelsTest, QuantButterflyBatchMatchesReferenceExactly)
     }
 }
 
-TEST_F(QuantKernelsTest, QuantButterflySingleVectorMatchesReference)
-{
-    // The workspace-based apply must agree with the heap-based scalar
-    // reference exactly, for both precisions.
-    const std::size_t n = 64;
-    ButterflyMatrix m(n);
-    Rng rng(17);
-    m.initRandomRotation(rng);
-    Tensor x = rng.normalTensor({5, n});
-    for (QuantKind kind : {QuantKind::Int8, QuantKind::Fp16}) {
-        QuantizedButterflyMatrix qm(m, kind);
-        std::vector<float> got(n), want(n);
-        for (std::size_t r = 0; r < 5; ++r) {
-            qm.apply(x.data() + r * n, got.data());
-            qm.applyReference(x.data() + r * n, want.data());
-            EXPECT_EQ(got, want)
-                << quantKindName(kind) << " row " << r;
-        }
-    }
-}
-
 TEST_F(QuantKernelsTest, QuantButterflyTracksFp32)
 {
     for (std::size_t n : {32u, 128u}) {
