@@ -364,7 +364,7 @@ BM_ButterflyApply(benchmark::State &state)
     for (auto &v : x)
         v = rng.normal();
     for (auto _ : state) {
-        m.apply(x.data(), y.data());
+        m.applyRows(x.data(), y.data(), 1);
         benchmark::DoNotOptimize(y.data());
     }
     state.SetComplexityN(static_cast<long>(n));

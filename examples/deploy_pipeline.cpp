@@ -85,7 +85,7 @@ main(int argc, char **argv)
     std::vector<float> x(32), sw(32);
     for (auto &v : x)
         v = rng.normal();
-    core.apply(x.data(), sw.data());
+    core.applyRows(x.data(), sw.data(), 1);
     sim::FunctionalButterflyEngine engine(4);
     sim::FunctionalButterflyEngine::RunStats stats;
     const auto hw_out = engine.runButterflyLinear(core, x, &stats);

@@ -32,7 +32,7 @@ main()
                 w.numStages(), w.numWeights(), 8 * 8);
 
     float x[8] = {1, 2, 3, 4, 5, 6, 7, 8}, y[8];
-    w.apply(x, y);
+    w.applyRows(x, y, 1);
     std::printf("W x = [%.2f %.2f %.2f ...]\n", y[0], y[1], y[2]);
 
     // FFT is a butterfly with twiddle weights (1, w, 1, -w).

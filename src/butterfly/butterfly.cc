@@ -100,30 +100,8 @@ ButterflyMatrix::pairIndices(std::size_t s, std::size_t p, std::size_t &i1,
 }
 
 void
-ButterflyMatrix::apply(const float *in, float *out) const
-{
-    float *scratch = runtime::threadWorkspace<MatrixWs>(2 * n_);
-    float *cur = scratch;
-    float *nxt = scratch + n_;
-    std::memcpy(cur, in, n_ * sizeof(float));
-    for (std::size_t s = 0; s < stages_; ++s) {
-        const float *ws = &weights_[s * (n_ / 2) * 4];
-        for (std::size_t p = 0; p < n_ / 2; ++p) {
-            std::size_t i1, i2;
-            pairIndices(s, p, i1, i2);
-            const float x1 = cur[i1], x2 = cur[i2];
-            const float *w = ws + p * 4;
-            nxt[i1] = runtime::madd(w[0], x1, w[1] * x2);
-            nxt[i2] = runtime::madd(w[2], x1, w[3] * x2);
-        }
-        std::swap(cur, nxt);
-    }
-    std::memcpy(out, cur, n_ * sizeof(float));
-}
-
-void
-ButterflyMatrix::applyRows(const float *in, float *out,
-                           std::size_t rows) const
+ButterflyMatrix::applyRows(const float *in, float *out, std::size_t rows,
+                           float *cache, std::size_t cache_stride) const
 {
     // Stage-major over a transposed block: activations live as
     // [n, kBatchRows] so pair (i1, i2) of every stage reads/writes
@@ -131,7 +109,7 @@ ButterflyMatrix::applyRows(const float *in, float *out,
     // Butterfly outputs have no accumulation chain (y = w0*x1 + w1*x2
     // is a single expression) and lanes never interact, so the
     // reordering, vectorisation and zero padding lanes are bitwise
-    // identical to the scalar per-row apply().
+    // identical to the scalar per-row applyReference().
     float *buf = runtime::threadWorkspace<MatrixWs>(kBatchRows * n_);
     const runtime::KernelTable &kt = runtime::kernels();
     for (std::size_t r0 = 0; r0 < rows; r0 += kBatchRows) {
@@ -141,15 +119,24 @@ ButterflyMatrix::applyRows(const float *in, float *out,
         // vectorises at the same ISA level as the stages; lanes nb..15
         // are zero-filled.
         kt.bfly_transpose_in(in + r0 * n_, buf, n_, nb, n_);
+        // The training forward stores every stage's input block (and
+        // finally the output block) back to row-major cache rows.
+        float *c = cache ? cache + r0 * cache_stride : nullptr;
         // Pair p = block*h + j touches i1 = block*2h + j; the sweep
         // walks (block, j) in order so the weight pointer advances
         // sequentially with no div/mod. The sweep body is the
         // ISA-dispatched bfly_stage kernel.
         for (std::size_t s = 0; s < stages_; ++s) {
+            if (c)
+                kt.bfly_transpose_out(buf, c + s * n_, n_, nb,
+                                      cache_stride);
             const float *wp = &weights_[s * (n_ / 2) * 4];
             const std::size_t h = std::size_t{1} << s;
             kt.bfly_stage(buf, wp, n_, h);
         }
+        if (c)
+            kt.bfly_transpose_out(buf, c + stages_ * n_, n_, nb,
+                                  cache_stride);
         kt.bfly_transpose_out(buf, out + r0 * n_, n_, nb, n_);
     }
 }
@@ -157,20 +144,7 @@ ButterflyMatrix::applyRows(const float *in, float *out,
 void
 ButterflyMatrix::forwardWithCache(const float *in, float *cache) const
 {
-    std::memcpy(cache, in, n_ * sizeof(float));
-    for (std::size_t s = 0; s < stages_; ++s) {
-        const float *cur = cache + s * n_;
-        float *nxt = cache + (s + 1) * n_;
-        const float *ws = &weights_[s * (n_ / 2) * 4];
-        for (std::size_t p = 0; p < n_ / 2; ++p) {
-            std::size_t i1, i2;
-            pairIndices(s, p, i1, i2);
-            const float x1 = cur[i1], x2 = cur[i2];
-            const float *w = ws + p * 4;
-            nxt[i1] = runtime::madd(w[0], x1, w[1] * x2);
-            nxt[i2] = runtime::madd(w[2], x1, w[3] * x2);
-        }
-    }
+    applyRows(in, cache + stages_ * n_, 1, cache, (stages_ + 1) * n_);
 }
 
 void
@@ -344,7 +318,7 @@ ButterflyMatrix::toDense() const
     std::vector<float> e(n_, 0.0f), col(n_);
     for (std::size_t j = 0; j < n_; ++j) {
         e[j] = 1.0f;
-        apply(e.data(), col.data());
+        applyReference(e.data(), col.data());
         e[j] = 0.0f;
         for (std::size_t i = 0; i < n_; ++i)
             dense.at(i, j) = col[i];
@@ -376,31 +350,17 @@ ButterflyLinear::initRandomRotation(Rng &rng)
 }
 
 void
-ButterflyLinear::apply(const float *in, float *out) const
-{
-    float *scratch = runtime::threadWorkspace<LinearWs>(2 * core_n_);
-    float *padded = scratch;
-    float *core_out = scratch + core_n_;
-    std::fill(padded, padded + core_n_, 0.0f);
-    std::memcpy(padded, in, in_ * sizeof(float));
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-        cores_[c].apply(padded, core_out);
-        const std::size_t base = c * core_n_;
-        const std::size_t take = std::min(core_n_, out_ - base);
-        for (std::size_t j = 0; j < take; ++j)
-            out[base + j] = core_out[j] + bias_[base + j];
-    }
-}
-
-void
-ButterflyLinear::applyToRows(const float *in, float *out,
-                             std::size_t rows) const
+ButterflyLinear::applyToRows(const float *in, float *out, std::size_t rows,
+                             float *cache) const
 {
     // Stage-major blocks of kBatchRows rows: pad each block into the
     // per-thread scratch, run every core over it, add bias on the
     // truncated copy-out. One applyBatch task == one <= kBatchRows
     // block here, so results are bitwise identical to applyBatch (and
-    // to per-row apply()) regardless of how callers chunk rows.
+    // to the per-row applyBatchReference) regardless of how callers
+    // chunk rows.
+    const std::size_t cache_stride = cacheSize();
+    const std::size_t per_core = (cores_[0].numStages() + 1) * core_n_;
     for (std::size_t b0 = 0; b0 < rows; b0 += kBatchRows) {
         const std::size_t nb = std::min(kBatchRows, rows - b0);
         float *scratch =
@@ -411,8 +371,17 @@ ButterflyLinear::applyToRows(const float *in, float *out,
         for (std::size_t r = 0; r < nb; ++r)
             std::memcpy(padded + r * core_n_, in + (b0 + r) * in_,
                         in_ * sizeof(float));
+        // cacheSize() layout per row: the padded input, then each
+        // core's stage trajectory.
+        float *bc = cache ? cache + b0 * cache_stride : nullptr;
+        if (bc)
+            for (std::size_t r = 0; r < nb; ++r)
+                std::memcpy(bc + r * cache_stride, padded + r * core_n_,
+                            core_n_ * sizeof(float));
         for (std::size_t c = 0; c < cores_.size(); ++c) {
-            cores_[c].applyRows(padded, core_out, nb);
+            cores_[c].applyRows(padded, core_out, nb,
+                                bc ? bc + core_n_ + c * per_core : nullptr,
+                                cache_stride);
             const std::size_t base = c * core_n_;
             const std::size_t take = std::min(core_n_, out_ - base);
             for (std::size_t r = 0; r < nb; ++r) {
@@ -499,20 +468,7 @@ void
 ButterflyLinear::forwardWithCache(const float *in, float *out,
                                   float *cache) const
 {
-    float *padded = cache;
-    std::fill(padded, padded + core_n_, 0.0f);
-    std::memcpy(padded, in, in_ * sizeof(float));
-    const std::size_t per_core = (cores_[0].numStages() + 1) * core_n_;
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-        float *core_cache = cache + core_n_ + c * per_core;
-        cores_[c].forwardWithCache(padded, core_cache);
-        const float *core_out =
-            core_cache + cores_[c].numStages() * core_n_;
-        const std::size_t base = c * core_n_;
-        const std::size_t take = std::min(core_n_, out_ - base);
-        for (std::size_t j = 0; j < take; ++j)
-            out[base + j] = core_out[j] + bias_[base + j];
-    }
+    applyToRows(in, out, 1, cache);
 }
 
 void

@@ -66,32 +66,31 @@ class ButterflyMatrix
     void initNormal(Rng &rng, float stddev);
 
     /**
-     * y = W x for a single vector. @p in and @p out must hold size()
-     * floats and may not alias. Allocation-free in the steady state
-     * (one reusable workspace per thread); safe to call concurrently.
-     */
-    void apply(const float *in, float *out) const;
-
-    /**
      * Stage-major batched apply: y[r] = W x[r] for @p rows contiguous
-     * vectors. Processes all rows of one stage before advancing so the
-     * stage's 2N weights stay cache-resident; zero heap allocations in
-     * the steady state. Bitwise identical to per-row apply().
+     * vectors (@p in and @p out may not alias). Processes all rows of
+     * one stage before advancing so the stage's 2N weights stay
+     * cache-resident; zero heap allocations in the steady state (one
+     * reusable workspace per thread), safe to call concurrently.
+     * Bitwise identical to per-row applyReference().
+     *
+     * With a non-null @p cache the same pass also records the training
+     * activations: row r's cache starts at cache + r * cache_stride and
+     * receives (numStages()+1) * size() floats - the input of stage s
+     * at [s*N, s*N+N) and the output last (the layout backward() and
+     * accumulateWeightGradRows() read).
      */
-    void applyRows(const float *in, float *out, std::size_t rows) const;
+    void applyRows(const float *in, float *out, std::size_t rows,
+                   float *cache = nullptr,
+                   std::size_t cache_stride = 0) const;
 
-    /**
-     * Forward pass that also records the input of every stage for the
-     * backward pass. @p cache must hold (numStages()+1) * size()
-     * floats; cache[s*N .. s*N+N) is the input to stage s and the last
-     * block is the output.
-     */
+    /** One-row applyRows with its cache: @p cache must hold
+     *  (numStages()+1) * size() floats, the output block last. */
     void forwardWithCache(const float *in, float *cache) const;
 
     /**
      * Backward pass for one vector.
      *
-     * @param cache        activations recorded by forwardWithCache
+     * @param cache        activations recorded by applyRows
      * @param grad_out     dL/dy, size() floats
      * @param grad_in      output, dL/dx, size() floats
      * @param grad_weights accumulated (+=) dL/dw, numWeights() floats
@@ -116,7 +115,7 @@ class ButterflyMatrix
     /**
      * Accumulate (+=) weight gradients for @p rows vectors whose
      * forward caches / gradient trajectories live @p cache_stride /
-     * @p gcache_stride floats apart (forwardWithCache layout and
+     * @p gcache_stride floats apart (applyRows cache layout and
      * backwardRecord layout respectively). Owner-parallel over
      * (stage, pair) weight blocks; each element's reduction runs in
      * ascending-row order, so the result is bitwise identical to
@@ -138,7 +137,7 @@ class ButterflyMatrix
     /**
      * Seed single-vector apply (two heap allocations per call, scalar
      * stage/pair loops) - the one copy of the seed kernel that every
-     * reference/bench baseline delegates to.
+     * reference/bench baseline and toDense() delegate to.
      */
     void applyReference(const float *in, float *out) const;
 
@@ -165,7 +164,7 @@ class ButterflyMatrix
     static void pairIndices(std::size_t s, std::size_t p, std::size_t &i1,
                             std::size_t &i2);
 
-    /** Multiply-accumulate count of one apply() (4 mults per pair). */
+    /** Multiply-accumulate count of one vector (4 mults per pair). */
     std::size_t flops() const { return stages_ * (n_ / 2) * 8; }
 
   private:
@@ -204,27 +203,25 @@ class ButterflyLinear
     void initRandomRotation(Rng &rng);
 
     /**
-     * y = W x + b for one vector (in_ floats in, out_ floats out).
-     * Allocation-free in the steady state (thread-local workspace).
-     */
-    void apply(const float *in, float *out) const;
-
-    /**
      * Apply to every row of a [rows, in] matrix -> [rows, out].
      * Row-parallel, stage-major per core, zero steady-state heap
-     * allocations; bitwise identical to per-row apply().
+     * allocations; bitwise identical to applyBatchReference().
      */
     Tensor applyBatch(const Tensor &x) const;
 
     /**
-     * Serial stage-major apply over @p rows contiguous vectors (@p in
-     * strided by inFeatures(), @p out by outFeatures()) - the body one
-     * applyBatch task runs, exposed so ragged callers (nn::
-     * ButterflyDense::forwardRows) can sweep valid row spans directly.
-     * Chunks internally by the stage-major block size; bitwise
-     * identical to per-row apply() for any @p rows.
+     * Serial stage-major apply, y = W x + b, over @p rows contiguous
+     * vectors (@p in strided by inFeatures(), @p out by outFeatures())
+     * - the body one applyBatch task runs, exposed so callers
+     * (nn::ButterflyDense) can sweep row chunks directly. Chunks
+     * internally by the stage-major block size; bitwise identical to
+     * applyBatchReference() for any @p rows. With a non-null @p cache
+     * it also records each row's training activations, cacheSize()
+     * floats per row: the zero-padded input, then every core's
+     * ButterflyMatrix::applyRows trajectory.
      */
-    void applyToRows(const float *in, float *out, std::size_t rows) const;
+    void applyToRows(const float *in, float *out, std::size_t rows,
+                     float *cache = nullptr) const;
 
     /** Seed per-row batch path kept as parity/bench baseline. */
     Tensor applyBatchReference(const Tensor &x) const;
@@ -232,13 +229,13 @@ class ButterflyLinear
     /** Trainable parameter count (cores + bias). */
     std::size_t numParams() const;
 
-    /** Multiply-accumulate FLOPs of one apply(). */
+    /** Multiply-accumulate FLOPs of one vector. */
     std::size_t flops() const;
 
-    /** Floats of scratch cache needed per vector by forwardWithCache. */
+    /** Floats of training cache per vector (applyToRows' @p cache). */
     std::size_t cacheSize() const;
 
-    /** Forward with activation recording (cacheSize() floats). */
+    /** One-row applyToRows with its cache (cacheSize() floats). */
     void forwardWithCache(const float *in, float *out, float *cache) const;
 
     /**
@@ -267,7 +264,7 @@ class ButterflyLinear
      * (the reference order), which is what makes the parallel path
      * bitwise exact - see runtime/reduce.h.
      *
-     * @param caches   rows * cacheSize() floats from forwardWithCache
+     * @param caches   rows * cacheSize() floats from applyToRows
      * @param gcaches  rows * gradCacheSize() floats of scratch
      * @param grad_out rows * outFeatures() floats, dL/dy
      * @param grad_in  rows * inFeatures() floats, receives dL/dx

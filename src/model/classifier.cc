@@ -153,7 +153,11 @@ SequenceClassifier::evaluate(const std::vector<Example> &data,
         const std::size_t count =
             std::min(batch_size, data.size() - start);
         Batch b = makeBatch(data, start, count, seq);
-        Tensor logits = forward(b.tokens, b.batch, b.seq);
+        // Every row is real here (pads included), but forwardBatch
+        // skips the backward caches forward() would fill - attention's
+        // [batch, heads*seq, seq] scores above all. Same logits bits.
+        Tensor logits = forwardBatch(b.tokens, b.batch, b.seq,
+                                     std::vector<std::size_t>(count, seq));
         const std::vector<int> pred = nn::argmaxRows(logits);
         for (std::size_t i = 0; i < count; ++i)
             if (pred[i] == b.labels[i])

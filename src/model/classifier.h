@@ -122,7 +122,9 @@ class SequenceClassifier
     float trainBatchReference(const Batch &batch, nn::Adam &opt,
                               float clip_norm = 1.0f);
 
-    /** Classification accuracy over a dataset (batched internally). */
+    /** Classification accuracy over a dataset, batched internally
+     *  through forwardBatch (no training caches; same logits as
+     *  forward). */
     double evaluate(const std::vector<Example> &data, std::size_t seq,
                     std::size_t batch_size = 16);
 

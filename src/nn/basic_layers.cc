@@ -17,54 +17,22 @@ LayerNorm::LayerNorm(std::size_t dim, float eps)
 {
 }
 
+template <bool kCache>
 Tensor
-LayerNorm::forward(const Tensor &x)
+LayerNorm::normRows(const Tensor &x, const RowSet &rows)
 {
     if (x.shape().back() != dim_)
-        throw std::invalid_argument("LayerNorm::forward: dim mismatch");
-    const std::size_t rows = x.size() / dim_;
-    Tensor y(x.shape());
-    cached_xhat_ = Tensor(x.shape());
-    inv_std_.assign(rows, 0.0f);
-
+        throw std::invalid_argument("LayerNorm: dim mismatch");
+    Tensor y(x.shape()); // zero-init: padded rows stay 0
+    if constexpr (kCache) {
+        cached_xhat_ = Tensor(x.shape());
+        inv_std_.assign(rows.totalRows(), 0.0f);
+    }
     const float *px = x.data();
     float *py = y.data();
     float *pxh = cached_xhat_.data();
-    for (std::size_t r = 0; r < rows; ++r) {
-        const float *xr = px + r * dim_;
-        float mean = 0.0f;
-        for (std::size_t j = 0; j < dim_; ++j)
-            mean += xr[j];
-        mean /= static_cast<float>(dim_);
-        float var = 0.0f;
-        for (std::size_t j = 0; j < dim_; ++j) {
-            const float c = xr[j] - mean;
-            var += c * c;
-        }
-        var /= static_cast<float>(dim_);
-        const float inv = 1.0f / std::sqrt(var + eps_);
-        inv_std_[r] = inv;
-        for (std::size_t j = 0; j < dim_; ++j) {
-            const float xh = (xr[j] - mean) * inv;
-            pxh[r * dim_ + j] = xh;
-            py[r * dim_ + j] = gamma_[j] * xh + beta_[j];
-        }
-    }
-    return y;
-}
-
-Tensor
-LayerNorm::forwardRows(const Tensor &x, const RowSet &rows)
-{
-    if (x.shape().back() != dim_)
-        throw std::invalid_argument(
-            "LayerNorm::forwardRows: dim mismatch");
-    Tensor y(x.shape()); // zero-init: padded rows stay 0
-    const float *px = x.data();
-    float *py = y.data();
-    // Per-row mean/var/affine exactly as forward() computes them (same
-    // j-order chains), minus the cached_xhat_/inv_std_ training-cache
-    // writes; rows are independent so the span sweep parallelises.
+    // Rows are independent, so the span sweep parallelises; each row's
+    // mean/var/affine sweep keeps one fixed j-order chain.
     forEachRowSpan(rows, 16, [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
             const float *xr = px + r * dim_;
@@ -79,13 +47,29 @@ LayerNorm::forwardRows(const Tensor &x, const RowSet &rows)
             }
             var /= static_cast<float>(dim_);
             const float inv = 1.0f / std::sqrt(var + eps_);
+            if constexpr (kCache)
+                inv_std_[r] = inv;
             for (std::size_t j = 0; j < dim_; ++j) {
                 const float xh = (xr[j] - mean) * inv;
+                if constexpr (kCache)
+                    pxh[r * dim_ + j] = xh;
                 py[r * dim_ + j] = gamma_[j] * xh + beta_[j];
             }
         }
     });
     return y;
+}
+
+Tensor
+LayerNorm::forward(const Tensor &x)
+{
+    return normRows<true>(x, allRows(x));
+}
+
+Tensor
+LayerNorm::forwardRows(const Tensor &x, const RowSet &rows)
+{
+    return normRows<false>(x, rows);
 }
 
 Tensor
@@ -182,10 +166,7 @@ Tensor
 Relu::forward(const Tensor &x)
 {
     cached_input_ = x;
-    Tensor y = x;
-    for (float &v : y.raw())
-        v = std::max(v, 0.0f);
-    return y;
+    return Relu::forwardRows(x, allRows(x));
 }
 
 Tensor
@@ -222,15 +203,7 @@ Tensor
 Gelu::forward(const Tensor &x)
 {
     cached_input_ = x;
-    Tensor y(x.shape());
-    const float *px = x.data();
-    float *py = y.data();
-    // Elementwise (see Relu::backward).
-    runtime::parallelFor(0, y.size(), 1 << 13,
-                         [&](std::size_t i0, std::size_t i1) {
-                             runtime::geluRow(px + i0, py + i0, i1 - i0);
-                         });
-    return y;
+    return Gelu::forwardRows(x, allRows(x));
 }
 
 Tensor

@@ -18,15 +18,14 @@ class LayerNorm : public Layer
   public:
     explicit LayerNorm(std::size_t dim, float eps = 1e-5f);
 
+    /** The normRows body over every row, recording the xhat and
+     *  inv-std caches for backward(). */
     Tensor forward(const Tensor &x) override;
 
     /**
-     * Ragged inference forward: normalises the valid row spans only
-     * (row-parallel - LayerNorm rows are independent and each row's
-     * mean/var/affine sweep keeps forward()'s exact j-order), skipping
-     * both the padded rows and the xhat/inv-std training caches
-     * forward() maintains. Valid rows bitwise equal forward(); padded
-     * rows are zero.
+     * Ragged inference forward: the normRows body over the valid row
+     * spans only, without the training caches. Valid rows bitwise
+     * equal forward(); padded rows are zero.
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
@@ -45,6 +44,15 @@ class LayerNorm : public Layer
     void collectParams(std::vector<ParamRef> &out) override;
 
   private:
+    /**
+     * The one row body: normalises the rows of @p rows in parallel
+     * (rows are independent and each row's mean/var/affine sweep has
+     * one fixed j-order). kCache also writes the xhat/inv-std caches
+     * (then @p rows must be padding-free).
+     */
+    template <bool kCache>
+    Tensor normRows(const Tensor &x, const RowSet &rows);
+
     std::size_t dim_;
     float eps_;
     std::vector<float> gamma_, beta_;
@@ -57,6 +65,7 @@ class LayerNorm : public Layer
 class Relu : public Layer
 {
   public:
+    /** Caches the input and runs forwardRows over every row. */
     Tensor forward(const Tensor &x) override;
 
     /** Ragged forward: elementwise over valid row spans only, no
@@ -73,6 +82,7 @@ class Relu : public Layer
 class Gelu : public Layer
 {
   public:
+    /** Caches the input and runs forwardRows over every row. */
     Tensor forward(const Tensor &x) override;
 
     /** Ragged forward: the GELU row kernel runs on valid row spans

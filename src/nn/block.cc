@@ -7,26 +7,18 @@ namespace nn {
 
 namespace {
 
-/** Chunked parallel a += b for the residual shortcuts. */
+/** The residual shortcut a += b over the rows of @p rows: the
+ *  padding-free set in training, the ragged set in inference (both
+ *  operands' padded rows are zero there, so they stay zero). */
 void
-addResidual(float *a, const float *b, std::size_t n)
+addResidualRows(Tensor &a, const Tensor &b, const RowSet &rows)
 {
-    runtime::parallelFor(0, n, 1 << 14,
-                         [&](std::size_t i0, std::size_t i1) {
-                             for (std::size_t i = i0; i < i1; ++i)
-                                 a[i] += b[i];
-                         });
-}
-
-/** Ragged residual: a += b over the valid rows only (both operands'
- *  padded rows are zero in the ragged chain, so they stay zero). */
-void
-addResidualRows(float *a, const float *b, std::size_t d,
-                const RowSet &rows)
-{
+    const std::size_t d = a.shape().back();
+    float *pa = a.data();
+    const float *pb = b.data();
     forEachRowSpan(rows, 64, [&](std::size_t r0, std::size_t r1) {
         for (std::size_t i = r0 * d; i < r1 * d; ++i)
-            a[i] += b[i];
+            pa[i] += pb[i];
     });
 }
 
@@ -92,12 +84,13 @@ EncoderBlock::EncoderBlock(std::size_t d_model,
 Tensor
 EncoderBlock::forward(const Tensor &x)
 {
+    const RowSet rows = allRows(x);
     Tensor a = mixer_->forward(x);
-    addResidual(a.data(), x.data(), a.size()); // shortcut
+    addResidualRows(a, x, rows); // shortcut
     Tensor h = ln1_.forward(a);
 
     Tensor f = ffn_->forward(h);
-    addResidual(f.data(), h.data(), f.size()); // shortcut
+    addResidualRows(f, h, rows); // shortcut
     return ln2_.forward(f);
 }
 
@@ -106,12 +99,11 @@ EncoderBlock::afterMixer(Tensor a, const Tensor &x, const RowSet &rows)
 {
     // The ragged chain: every stage skips padded rows, which stay zero
     // after every stage.
-    const std::size_t d = x.shape().back();
-    addResidualRows(a.data(), x.data(), d, rows); // shortcut
+    addResidualRows(a, x, rows); // shortcut
     Tensor h = ln1_.forwardRows(a, rows);
 
     Tensor f = ffn_->forwardRows(h, rows);
-    addResidualRows(f.data(), h.data(), d, rows); // shortcut
+    addResidualRows(f, h, rows); // shortcut
     return ln2_.forwardRows(f, rows);
 }
 
@@ -140,26 +132,28 @@ EncoderBlock::forwardPrefill(const Tensor &x, const RowSet &rows,
 Tensor
 EncoderBlock::backward(const Tensor &grad_out)
 {
+    const RowSet rows = allRows(grad_out);
     Tensor g_hf = ln2_.backward(grad_out); // grad wrt (h + f)
     Tensor g_h = ffn_->backward(g_hf);
-    addResidual(g_h.data(), g_hf.data(), g_h.size()); // residual path
+    addResidualRows(g_h, g_hf, rows); // residual path
 
     Tensor g_xa = ln1_.backward(g_h); // grad wrt (x + a)
     Tensor g_x = mixer_->backward(g_xa);
-    addResidual(g_x.data(), g_xa.data(), g_x.size()); // residual path
+    addResidualRows(g_x, g_xa, rows); // residual path
     return g_x;
 }
 
 Tensor
 EncoderBlock::backwardReference(const Tensor &grad_out)
 {
+    const RowSet rows = allRows(grad_out);
     Tensor g_hf = ln2_.backwardReference(grad_out);
     Tensor g_h = ffn_->backwardReference(g_hf);
-    addResidual(g_h.data(), g_hf.data(), g_h.size());
+    addResidualRows(g_h, g_hf, rows);
 
     Tensor g_xa = ln1_.backwardReference(g_h);
     Tensor g_x = mixer_->backwardReference(g_xa);
-    addResidual(g_x.data(), g_xa.data(), g_x.size());
+    addResidualRows(g_x, g_xa, rows);
     return g_x;
 }
 

@@ -14,7 +14,7 @@ namespace nn {
 
 namespace {
 
-/** Workspace tag for the per-call W^T copy in Dense::forward. */
+/** Workspace tag for the per-call W^T copy in Dense::forwardRows. */
 struct DenseWtWs;
 
 /** Workspace tag for the butterfly layers' packed-gather buffers. */
@@ -108,48 +108,7 @@ Dense::forward(const Tensor &x)
     if (x.shape().back() != in_)
         throw std::invalid_argument("Dense::forward: feature mismatch");
     cached_input_ = x;
-    const std::size_t rows = rowCount(x);
-
-    std::vector<std::size_t> out_shape = x.shape();
-    out_shape.back() = out_;
-    Tensor y(out_shape);
-
-    const float *px = x.data();
-    const float *pb = b_.data();
-    float *py = y.data();
-    if (rows < runtime::kGemmTileM) {
-        // Too few rows to amortise a W^T copy (e.g. single-token
-        // inference): direct dot products, same k-order chain per
-        // output as the tiled path, so results are bitwise equal.
-        for (std::size_t r = 0; r < rows; ++r) {
-            const float *xr = px + r * in_;
-            float *yr = py + r * out_;
-            for (std::size_t o = 0; o < out_; ++o) {
-                const float *wr = &w_[o * in_];
-                float acc = pb[o];
-                for (std::size_t i = 0; i < in_; ++i)
-                    acc = runtime::madd(wr[i], xr[i], acc);
-                yr[o] = acc;
-            }
-        }
-        return y;
-    }
-    // y = x W^T + b: transpose W once per call (pure data movement),
-    // then run the register-tiled panel row-parallel with the bias
-    // folded into the accumulator init - same fp order per output as
-    // the original scalar loop. The transpose recurs per call because
-    // the optimizer mutates w_ in place through ParamRef, so the layer
-    // has no signal that weights are unchanged; at rows >= kGemmTileM
-    // the O(in*out) copy is a small fraction of the O(rows*in*out)
-    // GEMM it enables.
-    float *wt = runtime::threadWorkspace<DenseWtWs>(in_ * out_);
-    runtime::transposeInto(wt, w_.data(), out_, in_);
-    const float *pw = wt;
-    runtime::parallelFor(0, rows, runtime::kGemmRowGrain,
-                         [&](std::size_t r0, std::size_t r1) {
-        runtime::gemmRowsIKJ(px, pw, py, r0, r1, in_, out_, pb);
-    });
-    return y;
+    return Dense::forwardRows(x, allRows(x));
 }
 
 Tensor
@@ -167,8 +126,9 @@ Dense::forwardRows(const Tensor &x, const nn::RowSet &rows)
     const float *pb = b_.data();
     float *py = y.data();
     if (rows.totalRows() < runtime::kGemmTileM) {
-        // Same direct-dot path as forward() below the tile threshold;
-        // per-row chains are identical either way (see forward()).
+        // Too few rows to amortise a W^T copy (e.g. single-token
+        // inference): direct dot products, same k-order chain per
+        // output as the tiled path, so results are bitwise equal.
         rows.forEachSpan(0, rows.totalRows(),
                          [&](std::size_t r0, std::size_t r1) {
             for (std::size_t r = r0; r < r1; ++r) {
@@ -185,9 +145,15 @@ Dense::forwardRows(const Tensor &x, const nn::RowSet &rows)
         });
         return y;
     }
-    // Same W^T panel + register-tiled GEMM as forward(), swept over
-    // the valid row spans only. Each row's k-order chain is unchanged,
-    // so valid rows are bitwise equal to the full padded pass.
+    // y = x W^T + b: transpose W once per call (pure data movement),
+    // then run the register-tiled panel over the valid row spans with
+    // the bias folded into the accumulator init - same fp order per
+    // output as the original scalar loop, so each row's bits do not
+    // depend on the spans. The transpose recurs per call because the
+    // optimizer mutates w_ in place through ParamRef, so the layer has
+    // no signal that weights are unchanged; at rows >= kGemmTileM the
+    // O(in*out) copy is a small fraction of the O(rows*in*out) GEMM it
+    // enables.
     float *wt = runtime::threadWorkspace<DenseWtWs>(in_ * out_);
     runtime::transposeInto(wt, w_.data(), out_, in_);
     const float *pw = wt;
@@ -344,7 +310,7 @@ QuantizedDense::forward(const Tensor &x)
     if (x.shape().back() != in_)
         throw std::invalid_argument(
             "QuantizedDense::forward: feature mismatch");
-    return forwardRows(x, nn::RowSet(rowCount(x), 1));
+    return forwardRows(x, allRows(x));
 }
 
 Tensor
@@ -429,19 +395,19 @@ ButterflyDense::forward(const Tensor &x)
     out_shape.back() = op_.outFeatures();
     Tensor y(out_shape);
 
-    // Rows are independent and write disjoint cache/output slices, so
-    // the training forward parallelises without touching backward.
+    // The forwardRows kernel over every row, recording each row's
+    // activation cache on the way; chunks write disjoint cache and
+    // output rows. Every cache float is overwritten.
     const std::size_t cache_per_row = op_.cacheSize();
-    caches_.assign(rows_ * cache_per_row, 0.0f);
+    caches_.resize(rows_ * cache_per_row);
     const float *px = x.data();
     float *py = y.data();
     float *pc = caches_.data();
-    runtime::parallelFor(0, rows_, 4, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            op_.forwardWithCache(px + r * op_.inFeatures(),
-                                 py + r * op_.outFeatures(),
-                                 pc + r * cache_per_row);
-        }
+    runtime::parallelFor(0, rows_, runtime::kBflyBlockRows,
+                         [&](std::size_t r0, std::size_t r1) {
+        op_.applyToRows(px + r0 * op_.inFeatures(),
+                        py + r0 * op_.outFeatures(), r1 - r0,
+                        pc + r0 * cache_per_row);
     });
     return y;
 }
@@ -456,8 +422,8 @@ ButterflyDense::forwardRows(const Tensor &x, const nn::RowSet &rows)
     out_shape.back() = op_.outFeatures();
     Tensor y(out_shape); // zero-init: padded rows stay 0
 
-    // Inference-only: no activation caches (forward() allocates and
-    // fills rows * cacheSize() floats per call for backward()).
+    // Inference-only: no activation caches (forward() fills
+    // rows * cacheSize() floats per call for backward()).
     packedGatherApply(x, y, rows, op_.inFeatures(), op_.outFeatures(),
                       [&](const float *in, float *out,
                           std::size_t n) {
@@ -528,7 +494,7 @@ QuantizedButterflyDense::forward(const Tensor &x)
     if (x.shape().back() != op_.inFeatures())
         throw std::invalid_argument(
             "QuantizedButterflyDense::forward: feature mismatch");
-    return forwardRows(x, nn::RowSet(rowCount(x), 1));
+    return forwardRows(x, allRows(x));
 }
 
 Tensor

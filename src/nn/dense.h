@@ -25,14 +25,16 @@ class Dense : public Layer
   public:
     Dense(std::size_t in_features, std::size_t out_features, Rng &rng);
 
+    /** Caches the input for backward() and runs Dense::forwardRows
+     *  over every row (each row its own one-row sequence). */
     Tensor forward(const Tensor &x) override;
 
     /**
-     * Ragged inference forward: the W^T panel is still built once, but
+     * The one forward body: the W^T panel is built once per call and
      * the GEMM sweeps only the valid row spans (right-padding keeps
      * each sequence's rows contiguous, so no gather/scatter is needed;
      * see docs/ARCHITECTURE.md for why in-place spans beat packing
-     * here). Valid rows bitwise equal forward(); padded rows are zero.
+     * here). Padded rows are zero.
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
@@ -76,17 +78,21 @@ class ButterflyDense : public Layer
     ButterflyDense(std::size_t in_features, std::size_t out_features,
                    Rng &rng);
 
+    /**
+     * Training forward: ButterflyLinear::applyToRows over every row in
+     * chunks of runtime::kBflyBlockRows, recording each row's
+     * activation cache (cacheSize() floats) for backward().
+     */
     Tensor forward(const Tensor &x) override;
 
     /**
      * Ragged inference forward: packed-gather execution - valid rows
-     * are gathered contiguous, run through the stage-major batched
+     * are gathered contiguous, run through the same stage-major
      * kernel (ButterflyLinear::applyToRows) in full vector blocks,
      * and scattered back (see packedGatherApply in dense.cc for the
-     * bench-backed rationale vs in-place spans). Being inference-only
-     * it also skips the per-row activation cache forward() allocates
-     * for training. Valid rows bitwise equal forward(); padded rows
-     * are zero.
+     * bench-backed rationale vs in-place spans), without the
+     * activation caches. Valid rows bitwise equal forward(); padded
+     * rows are zero.
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 

@@ -24,32 +24,23 @@ Embedding::Embedding(std::size_t vocab, std::size_t max_seq,
         v = rng.normal(stddev);
 }
 
+void
+Embedding::embedRow(int id, std::size_t t, float *row) const
+{
+    const float *te = &tok_[static_cast<std::size_t>(id) * d_];
+    const float *pe = &pos_[t * d_];
+    for (std::size_t j = 0; j < d_; ++j)
+        row[j] = te[j] + pe[j];
+}
+
 Tensor
 Embedding::forward(const std::vector<int> &tokens, std::size_t batch,
                    std::size_t seq)
 {
-    if (tokens.size() != batch * seq)
-        throw std::invalid_argument("Embedding: token count mismatch");
-    if (seq > max_seq_)
-        throw std::invalid_argument("Embedding: sequence too long");
+    Tensor y = forwardRows(tokens, nn::RowSet(batch, seq));
     cached_tokens_ = tokens;
     b_ = batch;
     t_ = seq;
-
-    Tensor y = Tensor::zeros(batch, seq, d_);
-    float *py = y.data();
-    for (std::size_t b = 0; b < batch; ++b) {
-        for (std::size_t t = 0; t < seq; ++t) {
-            const int id = tokens[b * seq + t];
-            if (id < 0 || static_cast<std::size_t>(id) >= vocab_)
-                throw std::out_of_range("Embedding: token id out of range");
-            const float *te = &tok_[static_cast<std::size_t>(id) * d_];
-            const float *pe = &pos_[t * d_];
-            float *row = py + (b * seq + t) * d_;
-            for (std::size_t j = 0; j < d_; ++j)
-                row[j] = te[j] + pe[j];
-        }
-    }
     return y;
 }
 
@@ -65,9 +56,8 @@ Embedding::forwardRows(const std::vector<int> &tokens,
         throw std::invalid_argument("Embedding: sequence too long");
 
     // Validate ALL positions first - including pads, whose embedding
-    // work is skipped but whose ids forward() would have range-checked
-    // while embedding them. The cheap scan keeps ragged and dense
-    // execution drop-in equivalent (same logits, same throws).
+    // work is skipped: ragged and padding-free execution of the same
+    // tokens throw identically.
     for (const int id : tokens)
         if (id < 0 || static_cast<std::size_t>(id) >= vocab_)
             throw std::out_of_range("Embedding: token id out of range");
@@ -75,15 +65,8 @@ Embedding::forwardRows(const std::vector<int> &tokens,
     Tensor y = Tensor::zeros(batch, seq, d_);
     float *py = y.data();
     nn::forEachRowSpan(rows, 32, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            const std::size_t t = r % seq;
-            const int id = tokens[r];
-            const float *te = &tok_[static_cast<std::size_t>(id) * d_];
-            const float *pe = &pos_[t * d_];
-            float *row = py + r * d_;
-            for (std::size_t j = 0; j < d_; ++j)
-                row[j] = te[j] + pe[j];
-        }
+        for (std::size_t r = r0; r < r1; ++r)
+            embedRow(tokens[r], r % seq, py + r * d_);
     });
     return y;
 }
@@ -97,18 +80,13 @@ Embedding::forwardStep(const std::vector<int> &tokens,
         throw std::invalid_argument("Embedding::forwardStep: position count");
 
     Tensor y = Tensor::zeros(n, 1, d_);
-    float *py = y.data();
     for (std::size_t b = 0; b < n; ++b) {
         const int id = tokens[b];
         if (id < 0 || static_cast<std::size_t>(id) >= vocab_)
             throw std::out_of_range("Embedding: token id out of range");
         if (positions[b] >= max_seq_)
             throw std::invalid_argument("Embedding: sequence too long");
-        const float *te = &tok_[static_cast<std::size_t>(id) * d_];
-        const float *pe = &pos_[positions[b] * d_];
-        float *row = py + b * d_;
-        for (std::size_t j = 0; j < d_; ++j)
-            row[j] = te[j] + pe[j];
+        embedRow(id, positions[b], y.data() + b * d_);
     }
     return y;
 }
@@ -196,21 +174,7 @@ MeanPoolClassifier::forward(const Tensor &x)
 {
     if (x.rank() != 3 || x.dim(2) != d_)
         throw std::invalid_argument("MeanPoolClassifier: [b,t,d] required");
-    batch_ = x.dim(0);
-    t_ = x.dim(1);
-
-    cached_pooled_ = Tensor::zeros(batch_, d_);
-    const float inv_t = 1.0f / static_cast<float>(t_);
-    for (std::size_t b = 0; b < batch_; ++b) {
-        float *pool = cached_pooled_.data() + b * d_;
-        for (std::size_t t = 0; t < t_; ++t) {
-            const float *row = x.data() + (b * t_ + t) * d_;
-            for (std::size_t j = 0; j < d_; ++j)
-                pool[j] += row[j] * inv_t;
-        }
-    }
-
-    return projectPooled();
+    return forwardMasked(x, std::vector<std::size_t>(x.dim(0), x.dim(1)));
 }
 
 Tensor
@@ -225,9 +189,8 @@ MeanPoolClassifier::forwardMasked(const Tensor &x,
     batch_ = x.dim(0);
     t_ = x.dim(1);
 
-    // Same accumulation order as forward(), with the sum and the
-    // divisor restricted to the real prefix: bitwise equal to pooling
-    // an unpadded length-lens[b] input.
+    // The sum and the divisor cover the real prefix only: bitwise
+    // equal to pooling an unpadded length-lens[b] input.
     cached_pooled_ = Tensor::zeros(batch_, d_);
     for (std::size_t b = 0; b < batch_; ++b) {
         const std::size_t valid = lens[b];

@@ -22,7 +22,9 @@ class Embedding
     Embedding(std::size_t vocab, std::size_t max_seq, std::size_t d_model,
               Rng &rng);
 
-    /** tokens is a flat [batch*seq] id array. */
+    /** forwardRows over the padding-free RowSet(batch, seq), plus the
+     *  token cache for backward(). tokens is a flat [batch*seq] id
+     *  array. */
     Tensor forward(const std::vector<int> &tokens, std::size_t batch,
                    std::size_t seq);
 
@@ -39,10 +41,10 @@ class Embedding
 
     /**
      * One decode step: embed tokens[b] at absolute position
-     * positions[b], returning [n, 1, d]. Each row is the identical
-     * per-element tok + pos sum of forward()'s (b, positions[b]) row,
-     * so step rows bitwise match a full-recompute embedding.
-     * Inference-only (no token cache for backward()).
+     * positions[b], returning [n, 1, d]. Each row is forwardRows' own
+     * row lookup (embedRow) of the (b, positions[b]) row, so step rows
+     * bitwise match a full-recompute embedding. Inference-only (no
+     * token cache for backward()).
      */
     Tensor forwardStep(const std::vector<int> &tokens,
                        const std::vector<std::size_t> &positions);
@@ -66,6 +68,9 @@ class Embedding
     std::size_t dModel() const { return d_; }
 
   private:
+    /** row = tok[id] + pos[t], the one lookup every forward runs. */
+    void embedRow(int id, std::size_t t, float *row) const;
+
     std::size_t vocab_, max_seq_, d_;
     std::vector<float> tok_, pos_;
     std::vector<float> gtok_, gpos_;
@@ -79,15 +84,16 @@ class MeanPoolClassifier
   public:
     MeanPoolClassifier(std::size_t d_model, std::size_t classes, Rng &rng);
 
-    /** [b, t, d] -> logits [b, classes]. */
+    /** [b, t, d] -> logits [b, classes]: forwardMasked with every
+     *  length equal to t. */
     Tensor forward(const Tensor &x);
 
     /**
      * Masked pooling for right-padded batches: sequence b is averaged
      * over its first lens[b] rows only (divided by lens[b], not t), so
      * the pooled vector - and the logits row - match an unpadded
-     * length-lens[b] forward bit for bit. Inference-only: does not
-     * fill the backward() caches coherently.
+     * length-lens[b] forward bit for bit. backward() assumes every
+     * length equals t (the forward() case).
      */
     Tensor forwardMasked(const Tensor &x,
                          const std::vector<std::size_t> &lens);
@@ -106,7 +112,7 @@ class MeanPoolClassifier
     void collectParams(std::vector<ParamRef> &out);
 
   private:
-    /** cached_pooled_ -> logits [b, classes] (shared by both forwards). */
+    /** cached_pooled_ -> logits [b, classes]. */
     Tensor projectPooled() const;
 
     std::size_t d_, classes_;

@@ -37,7 +37,9 @@ class Layer
     virtual ~Layer() = default;
 
     /**
-     * Forward pass. Layers cache activations needed by backward();
+     * Training forward: runs the layer's forwardRows body over every
+     * row (the padding-free set, allRows(x)) and records the caches
+     * backward() needs, so each forward computation is written once;
      * calling forward twice overwrites the cache of the first call.
      */
     virtual Tensor forward(const Tensor &x) = 0;
@@ -177,6 +179,18 @@ class Layer
         return n;
     }
 };
+
+/**
+ * The padding-free set over every row of @p x (the last dimension is
+ * the features, each row its own one-row sequence): the set a training
+ * forward() hands its forwardRows body.
+ */
+inline RowSet
+allRows(const Tensor &x)
+{
+    const std::size_t d = x.shape().back();
+    return RowSet(d ? x.size() / d : 0, 1);
+}
 
 /** Zero every gradient in @p params. */
 inline void

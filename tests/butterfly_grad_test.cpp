@@ -27,13 +27,13 @@ namespace {
 
 using ButterflyGrad = testutil::RuntimeFixture;
 
-/** L = sum(out * probe); loss under the single-vector apply path. */
+/** L = sum(out * probe); loss under the one-row applyRows path. */
 double
 lossOf(const ButterflyMatrix &m, const std::vector<float> &x,
        const std::vector<float> &probe)
 {
     std::vector<float> y(m.size());
-    m.apply(x.data(), y.data());
+    m.applyRows(x.data(), y.data(), 1);
     double l = 0.0;
     for (std::size_t i = 0; i < y.size(); ++i)
         l += static_cast<double>(y[i]) * probe[i];
@@ -196,7 +196,7 @@ TEST_F(ButterflyGrad, RectangularBackwardMatchesFiniteDifference)
 
     auto loss = [&]() {
         std::vector<float> yy(out);
-        lin.apply(x.data(), yy.data());
+        lin.applyToRows(x.data(), yy.data(), 1);
         double l = 0.0;
         for (std::size_t i = 0; i < out; ++i)
             l += static_cast<double>(yy[i]) * probe[i];

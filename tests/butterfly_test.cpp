@@ -103,7 +103,7 @@ TEST_P(ButterflyDenseEquivTest, RotationInitPreservesNorm)
     std::vector<float> x(n), y(n);
     for (auto &v : x)
         v = rng.normal();
-    m.apply(x.data(), y.data());
+    m.applyRows(x.data(), y.data(), 1);
     double nx = 0.0, ny = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         nx += static_cast<double>(x[i]) * x[i];
@@ -236,7 +236,7 @@ TEST(ButterflyLinear, BiasApplied)
     for (std::size_t i = 0; i < 8; ++i)
         lin.bias()[i] = static_cast<float>(i);
     std::vector<float> x(8, 0.0f), y(8);
-    lin.apply(x.data(), y.data());
+    lin.applyToRows(x.data(), y.data(), 1);
     for (std::size_t i = 0; i < 8; ++i)
         EXPECT_FLOAT_EQ(y[i], static_cast<float>(i));
 }

@@ -201,7 +201,7 @@ TEST(FunctionalEngine, ButterflyLinearMatchesSoftwareReference)
             v = rng.normal();
 
         std::vector<float> ref(n);
-        m.apply(x.data(), ref.data());
+        m.applyRows(x.data(), ref.data(), 1);
 
         FunctionalButterflyEngine engine(4);
         FunctionalButterflyEngine::RunStats stats;

@@ -121,7 +121,7 @@ TEST(DeploymentPipeline, TrainedLayerBitMatchesFunctionalEngine)
         for (auto &v : x)
             v = roundToHalf(rng.normal());
         std::vector<float> sw(32);
-        core.apply(x.data(), sw.data());
+        core.applyRows(x.data(), sw.data(), 1);
         const auto hw = engine.runButterflyLinear(core, x);
         for (std::size_t i = 0; i < 32; ++i)
             EXPECT_NEAR(hw[i], sw[i],

@@ -86,7 +86,7 @@ TEST(Integration, TrainedButterflyWeightsRunOnFunctionalHardware)
     for (auto &v : x)
         v = rng.normal();
     std::vector<float> sw(n);
-    m.apply(x.data(), sw.data());
+    m.applyRows(x.data(), sw.data(), 1);
 
     sim::FunctionalButterflyEngine engine(4);
     const auto hw = engine.runButterflyLinear(m, x);

@@ -24,7 +24,9 @@
 #include "nn/basic_layers.h"
 #include "nn/block.h"
 #include "nn/dense.h"
+#include "nn/embedding.h"
 #include "nn/rowset.h"
+#include "runtime/kernels.h"
 #include "runtime/parallel.h"
 #include "sim/datapath.h"
 #include "tensor/ops.h"
@@ -93,25 +95,6 @@ TEST_F(ParallelKernelsTest, ButterflyMatrixBatchParity)
     }
 }
 
-TEST_F(ParallelKernelsTest, ButterflySingleVectorMatchesBatch)
-{
-    // The workspace-based single-vector apply must agree with both
-    // batch paths.
-    const std::size_t n = 64;
-    ButterflyMatrix m(n);
-    Rng rng(3);
-    m.initRandomRotation(rng);
-    Tensor x = rng.normalTensor({5, n});
-    const Tensor batch = m.applyBatch(x);
-    std::vector<float> y(n);
-    for (std::size_t r = 0; r < 5; ++r) {
-        m.apply(x.data() + r * n, y.data());
-        EXPECT_EQ(0, std::memcmp(y.data(), batch.data() + r * n,
-                                 n * sizeof(float)))
-            << "row " << r;
-    }
-}
-
 TEST_F(ParallelKernelsTest, ButterflyLinearBatchParity)
 {
     Rng rng(21);
@@ -139,6 +122,91 @@ TEST_F(ParallelKernelsTest, ButterflyLinearBatchParity)
                 EXPECT_TRUE(bitwiseEqual(lin.applyBatch(x), want))
                     << "in=" << s.in << " out=" << s.out
                     << " rows=" << rows << " threads=" << threads;
+            });
+        }
+    }
+}
+
+/**
+ * The scalar per-stage trajectory of one ButterflyLinear row, written
+ * out as the test's reference for the training caches: the padded
+ * input, then per core its stage inputs and output, in the cacheSize()
+ * layout; @p out receives the biased row.
+ */
+void
+scalarTrajectory(const ButterflyLinear &lin, const float *in, float *out,
+                 float *cache)
+{
+    const std::size_t n = lin.coreSize();
+    const std::size_t stages = lin.core(0).numStages();
+    const std::size_t per_core = (stages + 1) * n;
+    std::fill(cache, cache + n, 0.0f);
+    std::memcpy(cache, in, lin.inFeatures() * sizeof(float));
+    for (std::size_t c = 0; c < lin.numCores(); ++c) {
+        float *cc = cache + n + c * per_core;
+        std::memcpy(cc, cache, n * sizeof(float));
+        const std::vector<float> &w = lin.core(c).weights();
+        for (std::size_t s = 0; s < stages; ++s) {
+            const float *cur = cc + s * n;
+            float *nxt = cc + (s + 1) * n;
+            for (std::size_t p = 0; p < n / 2; ++p) {
+                std::size_t i1, i2;
+                ButterflyMatrix::pairIndices(s, p, i1, i2);
+                const float *wp = &w[lin.core(c).weightIndex(s, p)];
+                nxt[i1] = runtime::madd(wp[0], cur[i1], wp[1] * cur[i2]);
+                nxt[i2] = runtime::madd(wp[2], cur[i1], wp[3] * cur[i2]);
+            }
+        }
+        const std::size_t base = c * n;
+        const std::size_t take = std::min(n, lin.outFeatures() - base);
+        for (std::size_t j = 0; j < take; ++j)
+            out[base + j] = cc[stages * n + j] + lin.bias()[base + j];
+    }
+}
+
+TEST_F(ParallelKernelsTest, ButterflyTrainingCachesMatchScalarTrajectory)
+{
+    // The training forward records its caches inside the stage-major
+    // kernel (ButterflyDense::forward's chunking): every cache float
+    // and output must equal the scalar trajectory bit for bit. Pad,
+    // truncate and expand shapes plus the served FFN linears; rows
+    // around the 16-row block.
+    const std::size_t shapes[][2] = {
+        {24, 24}, {48, 17}, {32, 96}, {256, 1024}, {1024, 256}};
+    Rng rng(29);
+    for (const auto &sh : shapes) {
+        ButterflyLinear lin(sh[0], sh[1]);
+        lin.initRandomRotation(rng);
+        for (float &b : lin.bias())
+            b = rng.normal();
+        const std::size_t in = lin.inFeatures(), out = lin.outFeatures();
+        const std::size_t cs = lin.cacheSize();
+        for (std::size_t rows : {1u, 15u, 16u, 17u, 33u}) {
+            const Tensor x = rng.normalTensor({rows, in});
+            std::vector<float> want_y(rows * out), want_c(rows * cs);
+            for (std::size_t r = 0; r < rows; ++r)
+                scalarTrajectory(lin, x.data() + r * in,
+                                 want_y.data() + r * out,
+                                 want_c.data() + r * cs);
+            forEachThreadCount([&](std::size_t threads) {
+                std::vector<float> y(rows * out), cache(rows * cs);
+                runtime::parallelFor(
+                    0, rows, runtime::kBflyBlockRows,
+                    [&](std::size_t r0, std::size_t r1) {
+                        lin.applyToRows(x.data() + r0 * in,
+                                        y.data() + r0 * out, r1 - r0,
+                                        cache.data() + r0 * cs);
+                    });
+                const std::string tag =
+                    "in=" + std::to_string(in) + " out=" +
+                    std::to_string(out) + " rows=" + std::to_string(rows) +
+                    " threads=" + std::to_string(threads);
+                EXPECT_EQ(0, std::memcmp(y.data(), want_y.data(),
+                                         y.size() * sizeof(float)))
+                    << tag << " outputs";
+                EXPECT_EQ(0, std::memcmp(cache.data(), want_c.data(),
+                                         cache.size() * sizeof(float)))
+                    << tag << " caches";
             });
         }
     }
@@ -381,6 +449,52 @@ TEST_F(ParallelKernelsTest, RaggedEncoderBlockParity)
         const Tensor x = testutil::raggedInput(rows, d, 107);
         testutil::expectRaggedForwardParity(block, x, rows,
                                             "EncoderBlock");
+    }
+}
+
+TEST_F(ParallelKernelsTest, RaggedEmbeddingAndPooledHeadParity)
+{
+    // The embedding and the pooled head sit outside nn::Layer, so the
+    // shared helper cannot drive them: each sequence's unpadded
+    // forward is the baseline here, written out.
+    const std::size_t seq = 13, d = 24, vocab = 50, classes = 5;
+    Rng rng(107);
+    nn::Embedding emb(vocab, seq, d, rng);
+    nn::MeanPoolClassifier head(d, classes, rng);
+    for (const auto &lens : testutil::raggedLensSweep(seq, 257)) {
+        const nn::RowSet rows(lens.size(), seq, lens);
+        std::vector<int> tokens(rows.paddedRows());
+        for (int &t : tokens)
+            t = rng.randint(0, static_cast<int>(vocab) - 1);
+        const Tensor x = testutil::raggedInput(rows, d, 109);
+
+        runtime::setNumThreads(1);
+        Tensor want_emb({rows.batch(), seq, d});
+        Tensor want_logits({rows.batch(), classes});
+        for (std::size_t b = 0; b < rows.batch(); ++b) {
+            const std::size_t n = lens[b];
+            const std::vector<int> tb(tokens.begin() + b * seq,
+                                      tokens.begin() + b * seq + n);
+            const Tensor eb = emb.forward(tb, 1, n);
+            std::memcpy(want_emb.data() + b * seq * d, eb.data(),
+                        n * d * sizeof(float));
+            Tensor xb({1, n, d});
+            std::memcpy(xb.data(), x.data() + b * seq * d,
+                        n * d * sizeof(float));
+            const Tensor lb = head.forward(xb);
+            std::memcpy(want_logits.data() + b * classes, lb.data(),
+                        classes * sizeof(float));
+        }
+        forEachThreadCount([&](std::size_t threads) {
+            const Tensor got = emb.forwardRows(tokens, rows);
+            EXPECT_TRUE(testutil::validRowsBitwiseEqual(got, want_emb, rows))
+                << "Embedding valid rows, threads=" << threads;
+            EXPECT_TRUE(testutil::paddedRowsZero(got, rows))
+                << "Embedding padded rows, threads=" << threads;
+            EXPECT_TRUE(bitwiseEqual(head.forwardMasked(x, lens),
+                                     want_logits))
+                << "MeanPoolClassifier logits, threads=" << threads;
+        });
     }
 }
 
