@@ -55,9 +55,8 @@ main()
     std::printf("submit(): %zu logits, first=%.4f\n", logits.size(),
                 logits[0]);
 
-    // 3b. Bulk path: serveAll() groups the whole set and runs the
-    //     batches inline on the calling thread (no dispatcher
-    //     round-trip), returning results in request order.
+    // 3b. Bulk path: serveAll() admits the whole set, waits while the
+    //     dispatcher serves it, and returns results in request order.
     const std::vector<std::vector<int>> requests = {
         {1, 2, 3}, {4, 5, 6, 7, 8, 9}, {10}, {11, 12, 13, 14}};
     const auto results = engine.serveAll(requests);
@@ -67,8 +66,8 @@ main()
     //    rows_skipped, the padded activation rows ragged execution
     //    never computed (forwardBatch skips them end to end).
     const serve::ServingStats st = engine.stats();
-    std::printf("batches=%zu avg_batch=%.2f inline=%zu\n", st.batches,
-                st.avgBatch(), st.inline_batches);
+    std::printf("batches=%zu avg_batch=%.2f\n", st.batches,
+                st.avgBatch());
     std::printf("pad_overhead=%.3f (bucket) %.3f (batch) "
                 "rows_skipped=%zu\n",
                 st.padOverhead(), st.padOverheadBatch(),

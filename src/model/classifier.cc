@@ -100,6 +100,15 @@ SequenceClassifier::supportsMaskedBatch() const
     return true;
 }
 
+bool
+SequenceClassifier::runsLength(std::size_t seq) const
+{
+    for (const auto &blk : blocks_)
+        if (!blk->runsLength(seq))
+            return false;
+    return true;
+}
+
 float
 SequenceClassifier::trainBatch(const Batch &batch, nn::Adam &opt,
                                float clip_norm)

@@ -86,6 +86,14 @@ class SequenceClassifier
     bool supportsMaskedBatch() const;
 
     /**
+     * True when every block can run a padded length of @p seq
+     * (nn::Layer::runsLength): false only for lengths a Fourier
+     * mixer's power-of-two FFT cannot take. The serving engine asks
+     * this before admitting a request.
+     */
+    bool runsLength(std::size_t seq) const;
+
+    /**
      * Replace every linear inside the encoder blocks (attention
      * projections, FFN linears - dense or butterfly) with its
      * inference-only quantized form (nn::QuantizedDense /

@@ -246,5 +246,11 @@ FourierMix::backward(const Tensor &grad_out)
     return fourierMix2DAdjoint(grad_out);
 }
 
+bool
+FourierMix::runsLength(std::size_t seq) const
+{
+    return isPowerOfTwo(seq);
+}
+
 } // namespace nn
 } // namespace fabnet

@@ -109,6 +109,9 @@ class FourierMix : public Layer
 
     /** The sequence-dim FFT is global: no masked form exists. */
     bool supportsMasking() const override { return false; }
+
+    /** fourierMix2D runs power-of-two lengths only. */
+    bool runsLength(std::size_t seq) const override;
 };
 
 } // namespace nn

@@ -107,6 +107,11 @@ class EncoderBlock : public Layer
         return mixer_->supportsMasking() && ffn_->supportsMasking();
     }
 
+    bool runsLength(std::size_t seq) const override
+    {
+        return mixer_->runsLength(seq) && ffn_->runsLength(seq);
+    }
+
   private:
     /**
      * The chain after the mixer, shared by the three inference entry

@@ -112,6 +112,19 @@ class Layer
     virtual bool supportsMasking() const { return true; }
 
     /**
+     * Whether forwardRows() can run a padded length of @p seq rows at
+     * all: true for every layer except FourierMix, whose FFT runs
+     * power-of-two lengths only. Composite layers forward the query to
+     * their children. The serving engine refuses, at admission, a
+     * request whose padded length the model cannot run.
+     */
+    virtual bool runsLength(std::size_t seq) const
+    {
+        (void)seq;
+        return true;
+    }
+
+    /**
      * Backward pass: given dL/d(output) returns dL/d(input) and
      * accumulates (+=) parameter gradients. Parallel (see
      * runtime/reduce.h for the determinism scheme) and bitwise

@@ -17,9 +17,10 @@
  *    is ultimately admitted);
  *  - the DISPATCH (invocation) index: batched model invocations are
  *    numbered 0, 1, 2, ... in dispatch order. For ServingEngine these
- *    are the claimed groups (dispatcher and inline serveAll() groups
- *    share the one counter); for GenerationEngine, prefill batches and
- *    decode steps share it. Per-request isolation retries take none.
+ *    are the groups its dispatcher claims, in claim order, whether
+ *    their requests came from submit() or serveAll(); for
+ *    GenerationEngine, prefill batches and decode steps share it.
+ *    Per-request isolation retries take none.
  *
  * Both are single-threaded-deterministic: a test that submits from one
  * thread with flush-on-full/drain batching (long max_wait) sees the
@@ -52,8 +53,8 @@ struct FaultPlan
         /** The enqueue attempt throws Error{InvalidRequest} - models a
          *  request the validation layer rejects. Nothing is queued. */
         Admission,
-        /** The request's model batch throws Error{ModelFault} while
-         *  the model lock is held - models a poisoned row. The fault
+        /** The request's model batch throws Error{ModelFault} inside
+         *  the guarded invocation - models a poisoned row. The fault
          *  is STICKY: the per-row isolation retry of that request
          *  fails too, while its batchmates are re-served cleanly. */
         Model,

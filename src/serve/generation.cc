@@ -23,16 +23,11 @@ GenerationEngine::GenerationEngine(CausalGenerator &gen,
 GenerationEngine::~GenerationEngine()
 {
     // Full graceful drain first: every outstanding future resolves
-    // before the scheduler is torn down.
+    // before the scheduler is torn down. core_ then stops the watchdog
+    // and releases the workspace cap.
     shutdown();
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        stop_ = true;
-        work_cv_.notify_all();
-        idle_cv_.notify_all();
-    }
+    core_.halt();
     scheduler_.join();
-    // core_ then stops the watchdog and releases the workspace cap.
 }
 
 std::future<std::vector<int>>
@@ -40,14 +35,11 @@ GenerationEngine::submit(std::vector<int> prompt,
                          std::size_t max_new_tokens, Deadline deadline,
                          TokenCallback on_token)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stop_ || draining_)
-        throw Error(ErrorCode::ShuttingDown,
-                    "engine is shutting down; prompt not admitted");
-    // Admission attempts are numbered in order - rejected ones
-    // included - so FaultPlan admission indices are deterministic for
-    // a fixed submission sequence.
-    const std::uint64_t admission_index = submit_seq_++;
+    std::lock_guard<std::mutex> lk(core_.mu);
+    // Admission attempts are numbered in order - refused ones included
+    // - so FaultPlan admission indices are deterministic for a fixed
+    // submission sequence.
+    const std::uint64_t admission_index = core_.openAdmission("prompt");
     if (prompt.empty())
         throw Error(ErrorCode::InvalidRequest, "empty prompt");
     // >= and not >: a prompt that already fills every position has no
@@ -66,8 +58,16 @@ GenerationEngine::submit(std::vector<int> prompt,
                     "max_new_tokens must be >= 1");
     core_.admit(
         admission_index, deadline, prompt.size(), true, stats_,
-        [this] { return std::pair(queue_.size(), queued_tokens_); },
-        [this](Deadline now) { shedExpiredLocked(now); });
+        [this] { return queue_.size(); },
+        [this](Deadline now) {
+            stats_.shed += failQueuedLocked(
+                [now](const GenRequest &r) {
+                    return r.deadline != kNoDeadline && r.deadline <= now;
+                },
+                Error(ErrorCode::DeadlineExceeded,
+                      "shed from the admission queue (DropExpiredFirst: "
+                      "deadline expired before prefill)"));
+        });
     queue_.emplace_back();
     GenRequest &r = queue_.back();
     r.prompt = std::move(prompt);
@@ -75,52 +75,24 @@ GenerationEngine::submit(std::vector<int> prompt,
     r.deadline = deadline;
     r.on_token = std::move(on_token);
     r.admission_index = admission_index;
-    r.id = next_id_++;
-    std::future<std::vector<int>> fut = r.promise.get_future();
-    outstanding_.insert(r.id);
-    queued_tokens_ += r.prompt.size();
+    r.id = core_.enlist(r.prompt.size());
     ++stats_.requests;
-    work_cv_.notify_all();
-    return fut;
+    core_.work_cv.notify_all();
+    return r.promise.get_future();
 }
 
 void
 GenerationEngine::flush()
 {
-    std::unique_lock<std::mutex> lk(mu_);
-    // Watermark: wait for the requests submitted before this call
-    // only, so concurrent submitters cannot starve a flusher. The
-    // scheduler admits FIFO and continuously, so no drain handoff is
-    // needed (unlike ServingEngine's bucketed flush).
-    const std::uint64_t watermark = next_id_;
-    idle_cv_.wait(lk, [&] {
-        return outstanding_.empty() ||
-               *outstanding_.begin() >= watermark || stop_;
-    });
+    core_.flush();
 }
 
 void
 GenerationEngine::shutdown(Deadline deadline)
 {
-    std::unique_lock<std::mutex> lk(mu_);
-    draining_ = true;
-    const auto all_resolved = [this] { return outstanding_.empty(); };
-    if (deadline == kNoDeadline) {
-        // Full drain. (Not wait_until: time_point::max() overflows
-        // some libstdc++ wait implementations.)
-        idle_cv_.wait(lk, all_resolved);
-        return;
-    }
-    if (idle_cv_.wait_until(lk, deadline, all_resolved))
-        return;
-    // Deadline passed: cooperatively cancel the in-flight prefill/step
-    // (its sequences fail with ShuttingDown), fail everything still
-    // queued, and let the scheduler evict the remaining live set at
+    // At the deadline the scheduler evicts the remaining live set at
     // the next step boundary.
-    core_.abandon();
-    failQueuedLocked();
-    work_cv_.notify_all();
-    idle_cv_.wait(lk, all_resolved);
+    core_.shutdown(deadline, [this] { abandonQueuedLocked(); });
 }
 
 GenerationStats
@@ -128,66 +100,62 @@ GenerationEngine::stats() const
 {
     GenerationStats out;
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(core_.mu);
         out = stats_;
     }
     core_.stamp(out);
     return out;
 }
 
-void
-GenerationEngine::shedExpiredLocked(Deadline now)
+std::size_t
+GenerationEngine::failQueuedLocked(
+    const std::function<bool(const GenRequest &)> &pred, const Error &err)
 {
+    // Counters and futures change under one hold of the engine lock,
+    // which stats() takes too.
     std::deque<GenRequest> kept;
+    std::size_t failed = 0;
     for (GenRequest &r : queue_) {
-        if (r.deadline != kNoDeadline && r.deadline <= now) {
-            ++stats_.shed;
-            ++stats_.failed;
-            queued_tokens_ -= r.prompt.size();
-            outstanding_.erase(r.id);
-            r.promise.set_exception(std::make_exception_ptr(Error(
-                ErrorCode::DeadlineExceeded,
-                "shed from the admission queue (DropExpiredFirst: "
-                "deadline expired before prefill)")));
-        } else {
+        if (!pred(r)) {
             kept.push_back(std::move(r));
+            continue;
         }
+        ++failed;
+        ++stats_.failed;
+        core_.queued_tokens -= r.prompt.size();
+        core_.outstanding.erase(r.id);
+        r.promise.set_exception(std::make_exception_ptr(err));
     }
     queue_.swap(kept);
-    idle_cv_.notify_all(); // outstanding_ shrank: waiters re-check
+    core_.idle_cv.notify_all(); // outstanding shrank: waiters re-check
+    return failed;
 }
 
 void
-GenerationEngine::failQueuedLocked()
+GenerationEngine::abandonQueuedLocked()
 {
-    stats_.failed += queue_.size();
-    for (GenRequest &r : queue_) {
-        queued_tokens_ -= r.prompt.size();
-        outstanding_.erase(r.id);
-        r.promise.set_exception(std::make_exception_ptr(Error(
-            ErrorCode::ShuttingDown,
-            "engine shut down before this prompt was prefilled")));
-    }
-    queue_.clear();
-    idle_cv_.notify_all();
+    failQueuedLocked([](const GenRequest &) { return true; },
+                     Error(ErrorCode::ShuttingDown,
+                           "engine shut down before this prompt was "
+                           "prefilled"));
 }
 
 void
 GenerationEngine::completeSeq(Live &seq)
 {
     // Order: stats counted first, then the future resolves, and only
-    // then does outstanding_ shrink - so a flush()/shutdown() waiter
+    // then does the outstanding set shrink - so a flush()/shutdown() waiter
     // that wakes on the erase always finds the future ready, and a
     // client waking from future.get() always sees itself counted.
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(core_.mu);
         ++stats_.completed;
     }
     seq.req.promise.set_value(std::move(seq.generated));
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        outstanding_.erase(seq.req.id);
-        idle_cv_.notify_all();
+        std::lock_guard<std::mutex> lk(core_.mu);
+        core_.outstanding.erase(seq.req.id);
+        core_.idle_cv.notify_all();
     }
 }
 
@@ -197,7 +165,7 @@ GenerationEngine::failSeq(GenRequest &req, const Error &err,
 {
     // Same publication order as completeSeq.
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(core_.mu);
         ++stats_.failed;
         if (mid_decode)
             ++stats_.expired_mid_decode;
@@ -206,9 +174,9 @@ GenerationEngine::failSeq(GenRequest &req, const Error &err,
     }
     req.promise.set_exception(std::make_exception_ptr(err));
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        outstanding_.erase(req.id);
-        idle_cv_.notify_all();
+        std::lock_guard<std::mutex> lk(core_.mu);
+        core_.outstanding.erase(req.id);
+        core_.idle_cv.notify_all();
     }
 }
 
@@ -230,7 +198,7 @@ GenerationEngine::advance(Live &seq, int tok, std::vector<Live> &keep)
     // Count BEFORE the callback/future can observe the token, matching
     // the engine-wide "stats published before results" order.
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(core_.mu);
         ++stats_.decode_tokens;
     }
     seq.generated.push_back(tok);
@@ -281,7 +249,7 @@ GenerationEngine::invoke(std::vector<Live> seqs, std::vector<Live> &keep,
     // FaultPlan's delay/stall key.
     std::size_t index = 0;
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(core_.mu);
         index = invoke_seq_++;
         if (prefill) {
             ++stats_.prefill_batches;
@@ -323,7 +291,7 @@ GenerationEngine::invoke(std::vector<Live> seqs, std::vector<Live> &keep,
         for (std::size_t i = 0; i < seqs.size(); ++i)
             gen_.rollback(seqs[i].state, pre_lens[i]);
         {
-            std::lock_guard<std::mutex> lk(mu_);
+            std::lock_guard<std::mutex> lk(core_.mu);
             ++stats_.isolation_retries;
         }
         for (Live &s : seqs) {
@@ -349,10 +317,10 @@ void
 GenerationEngine::schedulerLoop()
 {
     std::vector<Live> live;
-    std::unique_lock<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(core_.mu);
     for (;;) {
         if (core_.abandoned() && !queue_.empty())
-            failQueuedLocked();
+            abandonQueuedLocked();
         // Admission up to max_live: pop FIFO, discarding requests that
         // expired while queued (failed before any model time).
         std::vector<Live> fresh;
@@ -361,16 +329,16 @@ GenerationEngine::schedulerLoop()
                !queue_.empty()) {
             GenRequest r = std::move(queue_.front());
             queue_.pop_front();
-            queued_tokens_ -= r.prompt.size();
+            core_.queued_tokens -= r.prompt.size();
             if (r.deadline != kNoDeadline && r.deadline <= now) {
                 ++stats_.failed;
                 ++stats_.expired_in_queue;
-                outstanding_.erase(r.id);
+                core_.outstanding.erase(r.id);
                 r.promise.set_exception(std::make_exception_ptr(Error(
                     ErrorCode::DeadlineExceeded,
                     "deadline expired in queue (prompt never reached "
                     "the model)")));
-                idle_cv_.notify_all();
+                core_.idle_cv.notify_all();
                 continue;
             }
             Live &s = fresh.emplace_back();
@@ -378,10 +346,10 @@ GenerationEngine::schedulerLoop()
             s.state = gen_.newState();
         }
         if (fresh.empty() && live.empty()) {
-            if (stop_)
+            if (core_.stop)
                 break;
-            idle_cv_.notify_all();
-            work_cv_.wait(lk);
+            core_.idle_cv.notify_all();
+            core_.work_cv.wait(lk);
             continue;
         }
         stats_.peak_live =
@@ -426,7 +394,7 @@ GenerationEngine::schedulerLoop()
         lk.lock();
     }
     lk.unlock();
-    // stop_ with sequences still live cannot happen after an orderly
+    // halt() with sequences still live cannot happen after an orderly
     // shutdown(); fail any leftovers rather than stranding futures.
     for (Live &s : live)
         failSeq(s.req, Error(ErrorCode::ShuttingDown, "engine stopped"),

@@ -16,8 +16,8 @@
  * live-set composition can never change anyone's tokens.
  *
  * ## Failure model at token granularity (docs/SERVING.md)
- * The reliability core ServingEngine also runs on (serve/reliability.h),
- * carried to per-token granularity:
+ * The reliability core and request lifecycle ServingEngine also runs on
+ * (serve/reliability.h), carried to per-token granularity:
  *  - deadlines are re-checked EVERY STEP: an expired live sequence is
  *    evicted before the next token is computed (DeadlineExceeded with
  *    the tokens so far spent discarded, like mid-batch expiry);
@@ -41,13 +41,10 @@
 #ifndef FABNET_SERVE_GENERATION_H
 #define FABNET_SERVE_GENERATION_H
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
-#include <mutex>
-#include <set>
 #include <span>
 #include <thread>
 #include <vector>
@@ -191,37 +188,31 @@ class GenerationEngine
      *  the positional table is exhausted). */
     bool seqDone(const Live &seq) const;
 
-    /** Resolve @p seq's future with its tokens (stats under mu_
-     *  first), erase it from outstanding_. */
+    /** Resolve @p seq's future with its tokens (stats under the lock
+     *  first), then retire its id from the outstanding set. */
     void completeSeq(Live &seq);
 
-    /** Fail one sequence/request (stats under mu_ first). */
+    /** Fail one sequence/request (stats under the lock first). */
     void failSeq(GenRequest &req, const Error &err, bool mid_decode);
 
-    /** DropExpiredFirst shed pass (mu_ held): fail + evict expired
-     *  queued requests. */
-    void shedExpiredLocked(Deadline now);
-
-    /** Fail every queued request with ShuttingDown (mu_ held). */
-    void failQueuedLocked();
+    /** Fail every queued request @p pred selects with @p err (lock
+     *  held): the shed pass and the shutdown abandon. Returns the
+     *  number failed. */
+    std::size_t
+    failQueuedLocked(const std::function<bool(const GenRequest &)> &pred,
+                     const Error &err);
+    /** Fail the whole queue with ShuttingDown (lock held). */
+    void abandonQueuedLocked();
 
     CausalGenerator &gen_;
     GenerationConfig cfg_;
-    /** Admission, watchdog, guarded invocation; declared before the
-     *  scheduler so it outlives every invocation. */
+    /** Request lifecycle (its mu guards everything below), admission,
+     *  watchdog, guarded invocation; declared before the scheduler so
+     *  it outlives every invocation. */
     ReliabilityCore core_;
 
-    mutable std::mutex mu_;
-    std::condition_variable work_cv_; ///< wakes the scheduler
-    std::condition_variable idle_cv_; ///< wakes flush()/shutdown waiters
-    std::deque<GenRequest> queue_;    ///< admitted, not yet live
-    std::set<std::uint64_t> outstanding_; ///< submitted, not resolved
-    std::uint64_t next_id_ = 0;
-    std::uint64_t submit_seq_ = 0;   ///< admission attempts (FaultPlan)
-    std::size_t invoke_seq_ = 0;     ///< model invocations (FaultPlan)
-    std::size_t queued_tokens_ = 0;  ///< prompt tokens queued
-    bool stop_ = false;
-    bool draining_ = false;
+    std::deque<GenRequest> queue_; ///< admitted, not yet live
+    std::size_t invoke_seq_ = 0;   ///< model invocations (FaultPlan)
     GenerationStats stats_;
 
     std::thread scheduler_; ///< last member: starts fully-initialised

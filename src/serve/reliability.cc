@@ -1,5 +1,6 @@
 #include "serve/reliability.h"
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -93,22 +94,83 @@ ReliabilityCore::~ReliabilityCore()
     // lease_ releases the workspace cap via member destruction.
 }
 
-bool
-ReliabilityCore::overCaps(std::pair<std::size_t, std::size_t> queued,
-                          std::size_t tokens) const
+void
+ReliabilityCore::requireOpen(const char *what) const
 {
-    return (cfg_.max_queue_requests != 0 &&
-            queued.first >= cfg_.max_queue_requests) ||
-           (cfg_.max_queue_tokens != 0 &&
-            queued.second + tokens > cfg_.max_queue_tokens);
+    if (stop || draining)
+        throw Error(ErrorCode::ShuttingDown,
+                    std::string("engine is shutting down; ") + what +
+                        " not admitted");
 }
 
 void
-ReliabilityCore::throwQueueFull(std::pair<std::size_t, std::size_t> queued)
+ReliabilityCore::awaitLocked(std::unique_lock<std::mutex> &lk,
+                             std::uint64_t watermark)
+{
+    // Only the ids below the watermark: concurrent submitters cannot
+    // starve a flusher. A shutdown() racing the wait resolves every
+    // outstanding future (served, or failed at a shutdown deadline),
+    // so the wait always ends with its whole watermark resolved.
+    const auto resolved = [this, watermark] {
+        return outstanding.empty() || *outstanding.begin() >= watermark;
+    };
+    if (resolved())
+        return;
+    flush_watermark = std::max(flush_watermark, watermark);
+    work_cv.notify_all();
+    idle_cv.wait(lk, [&] { return resolved() || stop; });
+}
+
+void
+ReliabilityCore::shutdown(Deadline deadline,
+                          const std::function<void()> &fail_queued)
+{
+    std::unique_lock<std::mutex> lk(mu);
+    draining = true;
+    work_cv.notify_all(); // the scheduler switches to drain mode
+    const auto all_resolved = [this] { return outstanding.empty(); };
+    if (deadline == kNoDeadline) {
+        // Full drain. (Not wait_until: time_point::max() overflows
+        // some libstdc++ wait implementations.)
+        idle_cv.wait(lk, all_resolved);
+        return;
+    }
+    if (idle_cv.wait_until(lk, deadline, all_resolved))
+        return;
+    // Deadline passed: cooperatively cancel the in-flight invocation
+    // (its requests fail with ShuttingDown), fail everything still
+    // queued, let the scheduler evict what it still holds, and wait
+    // for the rest to unwind.
+    abandon();
+    fail_queued();
+    work_cv.notify_all();
+    idle_cv.wait(lk, all_resolved);
+}
+
+void
+ReliabilityCore::halt()
+{
+    std::lock_guard<std::mutex> lk(mu);
+    stop = true;
+    work_cv.notify_all();
+    idle_cv.notify_all();
+}
+
+bool
+ReliabilityCore::overCaps(std::size_t queued, std::size_t tokens) const
+{
+    return (cfg_.max_queue_requests != 0 &&
+            queued >= cfg_.max_queue_requests) ||
+           (cfg_.max_queue_tokens != 0 &&
+            queued_tokens + tokens > cfg_.max_queue_tokens);
+}
+
+void
+ReliabilityCore::throwQueueFull(std::size_t queued) const
 {
     throw Error(ErrorCode::QueueFull,
-                "admission queue full (" + std::to_string(queued.first) +
-                    " requests / " + std::to_string(queued.second) +
+                "admission queue full (" + std::to_string(queued) +
+                    " requests / " + std::to_string(queued_tokens) +
                     " tokens queued)");
 }
 

@@ -5,21 +5,25 @@
  * ServingEngine (serve/serving.h) and GenerationEngine
  * (serve/generation.h) schedule differently - length buckets versus a
  * continuously admitted live set - but they fail the same way
- * (docs/SERVING.md "Failure model"). That shared half lives here once:
+ * (docs/SERVING.md "Failure model") and share one request lifecycle.
+ * That shared half lives here once:
  *  - ReliabilityConfig and ReliabilityStats, the knobs and counters
  *    both engines' config and stats structs derive from;
- *  - ReliabilityCore, one member per engine: bounded admission with
- *    the shed policies, the FaultPlan hooks (serve/fault.h), the
- *    watchdog thread, the guarded model invocation, the shutdown-
- *    deadline abandon flag, the mapping of a failure to its typed
- *    Error, and the workspace-cap lease.
- * Each engine keeps only its scheduling policy.
+ *  - ReliabilityCore, one member per engine: the request lifecycle
+ *    (the engine lock, the outstanding-id set, the admission prelude,
+ *    flush, shutdown(deadline) and the destructor's halt), bounded
+ *    admission with the shed policies, the FaultPlan hooks
+ *    (serve/fault.h), the watchdog thread, the guarded model
+ *    invocation, the shutdown-deadline abandon flag, the mapping of a
+ *    failure to its typed Error, and the workspace-cap lease.
+ * Each engine keeps only its queue, its scheduler loop and its stats.
  *
  * ## Ordering contracts (docs/ARCHITECTURE.md "Serving")
- *  - Lock order: an engine's mutexes come before the core's watchdog
- *    mutex (guard() arms under the engine's model lock, abandon() runs
- *    under its request lock), and the watchdog thread takes no engine
- *    lock.
+ *  - Lock order: the engine lock (ReliabilityCore::mu) comes before
+ *    the core's watchdog mutex (shutdown() calls abandon() under it),
+ *    and the watchdog thread takes no engine lock. Each engine's one
+ *    scheduler thread runs every model invocation outside the engine
+ *    lock, so guard() arms the watchdog holding neither.
  *  - Publication order: every counter an outcome moves is updated
  *    before that outcome's future becomes ready. The watchdog counts a
  *    fire before it cancels, so a client woken by the failed future
@@ -33,10 +37,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
-#include <utility>
 
 #include "runtime/parallel.h"
 #include "serve/error.h"
@@ -178,8 +183,8 @@ struct ReliabilityConfig
      * Maximum queued (admitted, not yet claimed by a batch or a
      * prefill) requests submit() will accept; 0 = unbounded. Over the
      * cap the shed policy runs, then Error{QueueFull} is thrown.
-     * ServingEngine::serveAll() is exempt: it is synchronous and
-     * self-draining, so the caller IS the backpressure.
+     * ServingEngine::serveAll() is exempt: it is synchronous and waits
+     * for its own set, so the caller IS the backpressure.
      */
     std::size_t max_queue_requests = 0;
     /**
@@ -250,11 +255,16 @@ struct ReliabilityStats
 };
 
 /**
- * One engine's reliability mechanism. Construction validates the
- * shared knobs, takes the workspace-cap lease and starts the watchdog
- * thread (when enabled); destruction stops the watchdog and releases
- * the cap. Engines declare the core before their own threads, so it
- * outlives every invocation they run.
+ * One engine's reliability mechanism and request lifecycle.
+ * Construction validates the shared knobs, takes the workspace-cap
+ * lease and starts the watchdog thread (when enabled); destruction
+ * stops the watchdog and releases the cap. Engines declare the core
+ * before their own threads, so it outlives every invocation they run.
+ *
+ * The lifecycle state below is public and guarded by mu, which is the
+ * engine's one lock: the engine keeps its queue and its stats under it
+ * too. An engine's destructor runs shutdown(), then halt(), then joins
+ * its scheduler thread.
  */
 class ReliabilityCore
 {
@@ -270,15 +280,80 @@ class ReliabilityCore
     ReliabilityCore(const ReliabilityCore &) = delete;
     ReliabilityCore &operator=(const ReliabilityCore &) = delete;
 
+    // --------------------------------------------- request lifecycle
+    mutable std::mutex mu;            ///< the engine lock
+    std::condition_variable work_cv;  ///< wakes the scheduler thread
+    std::condition_variable idle_cv;  ///< wakes flush()/shutdown() waiters
+    std::set<std::uint64_t> outstanding; ///< admitted, not yet resolved
+    std::uint64_t next_id = 0;        ///< id of the next admitted request
+    /** Admission attempts, refusals included: the FaultPlan's
+     *  admission index (serve/fault.h). */
+    std::uint64_t admissions = 0;
+    std::size_t queued_tokens = 0; ///< tokens admitted, not yet claimed
+    bool stop = false;             ///< halt(): the scheduler exits
+    bool draining = false;         ///< shutdown(): no new admissions
+    /** The highest watermark a flush() (or serveAll()) waited for.
+     *  Every id below it is resolved once its waiters return, so the
+     *  ServingEngine dispatcher drains the buckets that still hold one
+     *  and needs no reset. */
+    std::uint64_t flush_watermark = 0;
+
+    /** The admission prelude (mu held): Error{ShuttingDown} ("engine
+     *  is shutting down; <what> not admitted") once shutdown began,
+     *  else the next admission index. */
+    std::uint64_t openAdmission(const char *what)
+    {
+        requireOpen(what);
+        return admissions++;
+    }
+    /** The ShuttingDown check of openAdmission() alone (mu held). */
+    void requireOpen(const char *what) const;
+
+    /** Record an admitted request of @p tokens queued tokens (mu held):
+     *  returns its id, now outstanding. */
+    std::uint64_t enlist(std::size_t tokens)
+    {
+        outstanding.insert(next_id);
+        queued_tokens += tokens;
+        return next_id++;
+    }
+
+    /** Block until every request admitted before this call resolved. */
+    void flush()
+    {
+        std::unique_lock<std::mutex> lk(mu);
+        awaitLocked(lk, next_id);
+    }
+    /** flush() over the ids below @p watermark, with mu held by @p lk:
+     *  raises flush_watermark and wakes the scheduler, then waits
+     *  (returns early only at halt()). */
+    void awaitLocked(std::unique_lock<std::mutex> &lk,
+                     std::uint64_t watermark);
+
+    /**
+     * Graceful drain: stop admitting and wait until every outstanding
+     * request resolved. If @p deadline passes first, abandon() the
+     * in-flight invocation, run @p fail_queued (mu held) to fail what
+     * is still queued, wake the scheduler to evict what it holds, and
+     * wait for the rest to unwind.
+     */
+    void shutdown(Deadline deadline,
+                  const std::function<void()> &fail_queued);
+
+    /** The destructor's stop: the scheduler exits once its queue is
+     *  empty, and every waiter is released. */
+    void halt();
+
+    // ------------------------------------------------------ admission
     /**
      * The admission sequence for the request with admission index
-     * @p index, run under the engine lock after the engine validated
-     * the request: an injected admission fault, then an already-
-     * expired @p deadline, then - when @p capped - the queue caps.
-     * @p queued() returns the current {requests, tokens} queued; over
-     * a cap under DropExpiredFirst, @p shed(now) first evicts the
-     * expired queued requests. Each refusal throws its typed Error,
-     * counted into @p stats. Returns the admission time.
+     * @p index, run under mu after the engine validated the request:
+     * an injected admission fault, then an already-expired @p
+     * deadline, then - when @p capped - the queue caps over
+     * @p queued() requests and queued_tokens. Over a cap under
+     * DropExpiredFirst, @p shed(now) first evicts the expired queued
+     * requests. Each refusal throws its typed Error, counted into
+     * @p stats. Returns the admission time.
      */
     template <class Queued, class Shed>
     Clock::time_point admit(std::uint64_t index, Deadline deadline,
@@ -310,8 +385,9 @@ class ReliabilityCore
         return now;
     }
 
+    // ------------------------------------------------ fault injection
     /** The FaultPlan delay of batched invocation @p index, slept here
-     *  (before the model lock and the watchdog arm). */
+     *  (before the watchdog arms). */
     void delay(std::size_t index) const;
     /** True when the FaultPlan stalls batched invocation @p index. */
     bool stalls(std::size_t index) const;
@@ -320,6 +396,7 @@ class ReliabilityCore
      *  faults are sticky: an isolation retry asks again and fails. */
     std::string injectedFault(std::uint64_t index) const;
 
+    // ---------------------------------------------- guarded invocation
     /**
      * One guarded model invocation: registers a cancel token with the
      * watchdog and installs it on this thread, cancels at once when
@@ -353,10 +430,6 @@ class ReliabilityCore
      *  shutdown deadline passed (abandon()), else watchdog ModelFault. */
     Error cancelCause() const;
 
-    /** The shutdown deadline passed: set the abandon flag, then cancel
-     *  the in-flight invocation. Called under the engine lock, before
-     *  the engine fails its queue. */
-    void abandon();
     bool abandoned() const
     {
         return abandon_.load(std::memory_order_acquire);
@@ -382,14 +455,15 @@ class ReliabilityCore
         WatchdogArm &operator=(const WatchdogArm &) = delete;
     };
 
+    /** The shutdown deadline passed: set the abandon flag, then cancel
+     *  the in-flight invocation (mu held, before the queue fails). */
+    void abandon();
     void arm(runtime::CancelToken *token);
     void watchdogLoop();
     [[noreturn]] void
     stallUntilCancelled(const runtime::CancelToken &cancel) const;
-    bool overCaps(std::pair<std::size_t, std::size_t> queued,
-                  std::size_t tokens) const;
-    [[noreturn]] static void
-    throwQueueFull(std::pair<std::size_t, std::size_t> queued);
+    bool overCaps(std::size_t queued, std::size_t tokens) const;
+    [[noreturn]] void throwQueueFull(std::size_t queued) const;
 
     const ReliabilityConfig cfg_;
     detail::WorkspaceCapLease lease_;

@@ -36,76 +36,82 @@ ServingEngine::~ServingEngine()
 {
     // Full graceful drain first: every outstanding future resolves
     // (and every flush()/serveAll() waiter is released) before the
-    // threads are torn down.
+    // dispatcher is torn down. core_ then stops the watchdog and
+    // releases the workspace cap.
     shutdown();
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        stop_ = true;
-        work_cv_.notify_all();
-        idle_cv_.notify_all();
-    }
+    core_.halt();
     dispatcher_.join();
-    // core_ then stops the watchdog and releases the workspace cap.
+}
+
+void
+ServingEngine::checkLength(std::size_t len) const
+{
+    std::size_t bucket = 0;
+    try {
+        bucket = batcher_.bucketLen(len);
+    } catch (const std::invalid_argument &e) {
+        throw Error(ErrorCode::InvalidRequest, e.what());
+    }
+    if (!model_.runsLength(bucket))
+        throw Error(ErrorCode::InvalidRequest,
+                    "a " + std::to_string(len) +
+                        "-token request pads to length " +
+                        std::to_string(bucket) +
+                        ", which the model cannot run");
 }
 
 std::future<std::vector<float>>
 ServingEngine::enqueueLocked(std::vector<int> tokens, Deadline deadline,
                              bool enforce_bounds)
 {
-    // Admission attempts are numbered in order - rejected ones
-    // included - so FaultPlan admission indices are deterministic for
-    // a fixed submission sequence.
-    const std::uint64_t admission_index = submit_seq_++;
-    // Validate the length up front with a typed error; nothing is
-    // queued on any throw below.
-    try {
-        (void)batcher_.bucketLen(tokens.size());
-    } catch (const std::invalid_argument &e) {
-        throw Error(ErrorCode::InvalidRequest, e.what());
-    }
+    // Admission attempts are numbered in order - refused ones included
+    // - so FaultPlan admission indices are deterministic for a fixed
+    // submission sequence. Nothing is queued on any throw below.
+    const std::uint64_t admission_index = core_.openAdmission("request");
+    checkLength(tokens.size());
     const auto now = core_.admit(
         admission_index, deadline, tokens.size(), enforce_bounds, stats_,
-        [this] { return std::pair(batcher_.size(), queued_tokens_); },
-        [this](Deadline t) { shedExpiredLocked(t); });
-    const std::uint64_t id = next_id_++;
+        [this] { return batcher_.size(); },
+        [this](Deadline t) {
+            stats_.shed += failQueuedLocked(
+                [&](std::uint64_t id) {
+                    const Deadline d = pending_.at(id).deadline;
+                    return d != kNoDeadline && d <= t;
+                },
+                Error(ErrorCode::DeadlineExceeded,
+                      "shed from the admission queue (DropExpiredFirst: "
+                      "deadline expired before dispatch)"));
+        });
+    const std::uint64_t id = core_.enlist(tokens.size());
     batcher_.push(id, tokens.size(), now);
-    outstanding_.insert(id);
-    queued_tokens_ += tokens.size();
     if (deadline != kNoDeadline)
         deadlines_.emplace(deadline, id);
     Pending &p = pending_[id];
     p.tokens = std::move(tokens);
     p.deadline = deadline;
     p.admission_index = admission_index;
-    std::future<std::vector<float>> fut = p.promise.get_future();
     ++stats_.requests;
-    return fut;
+    return p.promise.get_future();
 }
 
-void
-ServingEngine::shedExpiredLocked(RequestBatcher::Clock::time_point now)
+std::size_t
+ServingEngine::failQueuedLocked(
+    const std::function<bool(std::uint64_t)> &pred, const Error &err)
 {
-    const std::vector<std::uint64_t> victims =
-        batcher_.removeIf([&](std::uint64_t id) {
-            const Pending &p = pending_.at(id);
-            return p.deadline != kNoDeadline && p.deadline <= now;
-        });
-    if (victims.empty())
-        return;
-    stats_.shed += victims.size();
+    // Counters and futures change under one hold of the engine lock,
+    // which stats() takes too.
+    const std::vector<std::uint64_t> victims = batcher_.removeIf(pred);
     stats_.failed += victims.size();
     for (std::uint64_t id : victims) {
         auto it = pending_.find(id);
-        queued_tokens_ -= it->second.tokens.size();
+        core_.queued_tokens -= it->second.tokens.size();
         eraseDeadlineLocked(it->second.deadline, id);
-        it->second.promise.set_exception(std::make_exception_ptr(Error(
-            ErrorCode::DeadlineExceeded,
-            "shed from the admission queue (DropExpiredFirst: deadline "
-            "expired before dispatch)")));
+        it->second.promise.set_exception(std::make_exception_ptr(err));
         pending_.erase(it);
-        outstanding_.erase(id);
+        core_.outstanding.erase(id);
     }
-    idle_cv_.notify_all(); // outstanding_ shrank: waiters re-check
+    core_.idle_cv.notify_all(); // outstanding shrank: waiters re-check
+    return victims.size();
 }
 
 void
@@ -118,35 +124,13 @@ ServingEngine::eraseDeadlineLocked(Deadline deadline, std::uint64_t id)
         deadlines_.erase(it);
 }
 
-void
-ServingEngine::failQueuedLocked()
-{
-    const std::vector<std::uint64_t> victims =
-        batcher_.removeIf([](std::uint64_t) { return true; });
-    stats_.failed += victims.size();
-    for (std::uint64_t id : victims) {
-        auto it = pending_.find(id);
-        queued_tokens_ -= it->second.tokens.size();
-        eraseDeadlineLocked(it->second.deadline, id);
-        it->second.promise.set_exception(std::make_exception_ptr(Error(
-            ErrorCode::ShuttingDown,
-            "engine shut down before this request was served")));
-        pending_.erase(it);
-        outstanding_.erase(id);
-    }
-    idle_cv_.notify_all();
-}
-
 std::future<std::vector<float>>
 ServingEngine::submit(std::vector<int> tokens, Deadline deadline)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stop_ || draining_)
-        throw Error(ErrorCode::ShuttingDown,
-                    "engine is shutting down; request not admitted");
+    std::lock_guard<std::mutex> lk(core_.mu);
     std::future<std::vector<float>> fut =
         enqueueLocked(std::move(tokens), deadline, true);
-    work_cv_.notify_all();
+    core_.work_cv.notify_all();
     return fut;
 }
 
@@ -155,121 +139,44 @@ ServingEngine::serveAll(const std::vector<std::vector<int>> &requests)
 {
     std::vector<std::future<std::vector<float>>> futs;
     futs.reserve(requests.size());
-    std::uint64_t watermark = 0;
     {
-        // Bulk enqueue WITHOUT waking the dispatcher: the calling
-        // thread is about to run the groups itself, so the handoff
-        // would only add a wakeup and a context switch per batch.
-        std::lock_guard<std::mutex> lk(mu_);
-        if (stop_ || draining_)
-            throw Error(ErrorCode::ShuttingDown,
-                        "engine is shutting down; request set not "
-                        "admitted");
+        std::unique_lock<std::mutex> lk(core_.mu);
+        core_.requireOpen("request set");
         // All-or-nothing admission: validate the whole set before
         // anything is enqueued, so a malformed request throws with no
         // partial set left behind.
         for (std::size_t i = 0; i < requests.size(); ++i) {
             try {
-                (void)batcher_.bucketLen(requests[i].size());
-            } catch (const std::invalid_argument &e) {
+                checkLength(requests[i].size());
+            } catch (const Error &e) {
                 throw Error(ErrorCode::InvalidRequest,
                             "serveAll request #" + std::to_string(i) +
-                                ": " + e.what());
+                                ": " + e.detail());
             }
         }
-        const std::uint64_t first_id = next_id_;
+        const std::uint64_t first_id = core_.next_id;
         try {
             // serveAll is exempt from the admission caps (the caller
-            // is synchronous and self-draining - it IS the
-            // backpressure) and its requests carry no deadline.
+            // is synchronous - it IS the backpressure) and its
+            // requests carry no deadline.
             for (const auto &r : requests)
                 futs.push_back(enqueueLocked(r, kNoDeadline, false));
         } catch (...) {
             // Lengths were pre-validated, so only an injected
             // admission fault lands here. Keep the all-or-nothing
-            // contract: unwind the already-admitted prefix (we held
-            // mu_ throughout, so every id >= first_id is ours and
+            // contract: unwind the already-admitted prefix (the lock
+            // was held throughout, so every id >= first_id is ours and
             // still queued) instead of leaving it to drain silently.
-            const std::vector<std::uint64_t> prefix = batcher_.removeIf(
-                [&](std::uint64_t id) { return id >= first_id; });
-            stats_.failed += prefix.size();
-            for (std::uint64_t id : prefix) {
-                auto it = pending_.find(id);
-                queued_tokens_ -= it->second.tokens.size();
-                it->second.promise.set_exception(
-                    std::make_exception_ptr(Error(
-                        ErrorCode::InvalidRequest,
-                        "aborted: a later request in the same "
-                        "serveAll set failed admission")));
-                pending_.erase(it);
-                outstanding_.erase(id);
-            }
-            idle_cv_.notify_all();
+            failQueuedLocked(
+                [first_id](std::uint64_t id) { return id >= first_id; },
+                Error(ErrorCode::InvalidRequest,
+                      "aborted: a later request in the same serveAll "
+                      "set failed admission"));
             throw;
         }
-        watermark = next_id_;
-        // Same critical section as the enqueue: the dispatcher can
-        // never observe the requests without also observing the
-        // inline server, so it parks instead of stealing groups.
-        ++inline_active_;
+        // The dispatcher serves the set; wait for it as flush() does.
+        core_.awaitLocked(lk, core_.next_id);
     }
-
-    // Inline bulk dispatch: claim and run groups on this thread until
-    // everything submitted above is served. Ready (full) buckets pop
-    // with their normal flush reason first, then the leftovers drain -
-    // the same grouping the dispatcher would produce.
-    try {
-        for (;;) {
-            std::unique_lock<std::mutex> lk(mu_);
-            const auto served_to_watermark = [this, watermark] {
-                return outstanding_.empty() ||
-                       *outstanding_.begin() >= watermark;
-            };
-            std::optional<BatchGroup> group =
-                batcher_.popReady(RequestBatcher::Clock::now(),
-                                  cfg_.max_wait);
-            if (!group)
-                group = batcher_.drainBelow(watermark);
-            if (!group) {
-                if (served_to_watermark())
-                    break;
-                // The rest is in flight on another server (a
-                // concurrent serveAll, a flush-draining dispatcher);
-                // wait like flush() does.
-                idle_cv_.wait(lk, [&] {
-                    return served_to_watermark() || stop_;
-                });
-                if (stop_)
-                    break; // shutdown drain will fulfil the futures
-                continue;
-            }
-            ClaimedGroup claimed = claimGroupLocked(*group);
-            if (claimed.reqs.empty()) {
-                // Every member expired at claim (possible when submit
-                // traffic with deadlines shares our buckets).
-                finishGroupLocked(*group);
-                continue;
-            }
-            ++stats_.inline_batches;
-            lk.unlock(); // serve outside the lock, like the dispatcher
-            runGroup(*group, std::move(claimed));
-            lk.lock();
-            finishGroupLocked(*group);
-        }
-    } catch (...) {
-        std::lock_guard<std::mutex> lk(mu_);
-        --inline_active_;
-        work_cv_.notify_all();
-        throw;
-    }
-    {
-        // Hand whatever post-watermark traffic accumulated back to
-        // the dispatcher.
-        std::lock_guard<std::mutex> lk(mu_);
-        --inline_active_;
-        work_cv_.notify_all();
-    }
-
     std::vector<std::vector<float>> out;
     out.reserve(futs.size());
     for (auto &f : futs)
@@ -280,49 +187,18 @@ ServingEngine::serveAll(const std::vector<std::vector<int>> &requests)
 void
 ServingEngine::flush()
 {
-    std::unique_lock<std::mutex> lk(mu_);
-    // Watermark: wait for the requests submitted before this call
-    // only, so concurrent submitters cannot starve a flusher.
-    const std::uint64_t watermark = next_id_;
-    const auto served_to_watermark = [this, watermark] {
-        return outstanding_.empty() ||
-               *outstanding_.begin() >= watermark;
-    };
-    if (served_to_watermark())
-        return;
-    ++flush_waiters_;
-    flush_watermark_ = std::max(flush_watermark_, watermark);
-    work_cv_.notify_all();
-    // A shutdown() racing this flush resolves every outstanding
-    // future (served, or failed at a shutdown deadline), so the
-    // predicate always becomes true: flush is never stranded across
-    // shutdown and returns with its whole watermark resolved.
-    idle_cv_.wait(lk, [&] { return served_to_watermark() || stop_; });
-    if (--flush_waiters_ == 0)
-        flush_watermark_ = 0;
+    core_.flush();
 }
 
 void
 ServingEngine::shutdown(Deadline deadline)
 {
-    std::unique_lock<std::mutex> lk(mu_);
-    draining_ = true;
-    work_cv_.notify_all(); // dispatcher switches to drain mode
-    const auto all_resolved = [this] { return outstanding_.empty(); };
-    if (deadline == kNoDeadline) {
-        // Full drain. (Not wait_until: time_point::max() overflows
-        // some libstdc++ wait implementations.)
-        idle_cv_.wait(lk, all_resolved);
-        return;
-    }
-    if (idle_cv_.wait_until(lk, deadline, all_resolved))
-        return;
-    // Deadline passed: cooperatively cancel the in-flight invocation
-    // (its rows fail with ShuttingDown), fail everything still queued,
-    // and wait for the last group to unwind.
-    core_.abandon();
-    failQueuedLocked();
-    idle_cv_.wait(lk, all_resolved);
+    core_.shutdown(deadline, [this] {
+        failQueuedLocked([](std::uint64_t) { return true; },
+                         Error(ErrorCode::ShuttingDown,
+                               "engine shut down before this request "
+                               "was served"));
+    });
 }
 
 std::size_t
@@ -336,7 +212,7 @@ ServingEngine::stats() const
 {
     ServingStats out;
     {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(core_.mu);
         out = stats_;
     }
     core_.stamp(out);
@@ -349,7 +225,7 @@ ServingEngine::failGroup(std::span<Pending> reqs, const Error &err)
     // Count the failures BEFORE the futures become ready (same
     // publication order as the success path).
     {
-        std::lock_guard<std::mutex> guard(mu_);
+        std::lock_guard<std::mutex> guard(core_.mu);
         stats_.failed += reqs.size();
         if (err.code() == ErrorCode::ModelFault)
             stats_.model_faults += reqs.size();
@@ -359,18 +235,17 @@ ServingEngine::failGroup(std::span<Pending> reqs, const Error &err)
         p.promise.set_exception(ep);
 }
 
-Tensor
-ServingEngine::invokeModel(const std::vector<int> &tokens,
-                           std::size_t bsz, std::size_t seq,
-                           const std::vector<std::size_t> &lens,
-                           bool stall, const std::string &fault)
+void
+ServingEngine::countTokensLocked(std::size_t bsz, std::size_t seq,
+                                 std::size_t real, std::size_t max_len)
 {
-    // The model is single-user (layer caches); the dispatcher, inline
-    // serveAll() callers and isolation retries serialise here.
-    std::lock_guard<std::mutex> model_lock(model_mu_);
-    return core_.guard(
-        [&] { return model_.forwardBatch(tokens, bsz, seq, lens); }, stall,
-        fault);
+    stats_.real_tokens += real;
+    stats_.padded_tokens += bsz * seq;
+    stats_.tight_tokens += bsz * max_len;
+    // Padded rows this batch skipped end to end (forwardBatch runs
+    // every row for models without a masked form).
+    if (model_.supportsMaskedBatch())
+        stats_.rows_skipped += bsz * seq - real;
 }
 
 void
@@ -397,9 +272,9 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
     // on one throws future_error out of the dispatcher).
     std::vector<std::vector<float>> outs;
     try {
-        const Tensor logits =
-            invokeModel(tokens, bsz, seq, lens,
-                        core_.stalls(claimed.dispatch_index), fault);
+        const Tensor logits = core_.guard(
+            [&] { return model_.forwardBatch(tokens, bsz, seq, lens); },
+            core_.stalls(claimed.dispatch_index), fault);
         const std::size_t classes = logits.dim(1);
         outs.reserve(bsz);
         for (std::size_t i = 0; i < bsz; ++i) {
@@ -421,7 +296,7 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
         // Per-request fault isolation: one bounded per-row pass so the
         // poisoned row(s) alone fail and the survivors still get their
         // (bitwise-identical) logits.
-        isolateRows(std::move(reqs));
+        isolateRows(std::move(reqs), seq);
         return;
     }
 
@@ -442,7 +317,7 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
     // immediately calls stats() must already see this batch counted
     // (tests/serving_test.cpp relies on it).
     {
-        std::lock_guard<std::mutex> guard(mu_);
+        std::lock_guard<std::mutex> guard(core_.mu);
         stats_.completed += bsz - n_expired;
         stats_.failed += n_expired;
         stats_.expired_mid_batch += n_expired;
@@ -451,13 +326,7 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
             real += p.tokens.size();
             max_len = std::max(max_len, p.tokens.size());
         }
-        stats_.real_tokens += real;
-        stats_.padded_tokens += bsz * seq;
-        stats_.tight_tokens += bsz * max_len;
-        // Padded rows this batch skipped end to end (forwardBatch
-        // runs every row for models without a masked form).
-        if (model_.supportsMaskedBatch())
-            stats_.rows_skipped += bsz * seq - real;
+        countTokensLocked(bsz, seq, real, max_len);
     }
     for (std::size_t i = 0; i < bsz; ++i) {
         if (expired[i])
@@ -470,17 +339,18 @@ ServingEngine::runGroup(const BatchGroup &group, ClaimedGroup claimed)
 }
 
 void
-ServingEngine::isolateRows(std::vector<Pending> reqs)
+ServingEngine::isolateRows(std::vector<Pending> reqs, std::size_t seq)
 {
     {
-        std::lock_guard<std::mutex> guard(mu_);
+        std::lock_guard<std::mutex> guard(core_.mu);
         ++stats_.isolation_retries;
     }
+    std::vector<int> tokens(seq);
     for (Pending &p : reqs) {
         const auto now = RequestBatcher::Clock::now();
         if (p.deadline != kNoDeadline && p.deadline <= now) {
             {
-                std::lock_guard<std::mutex> guard(mu_);
+                std::lock_guard<std::mutex> guard(core_.mu);
                 ++stats_.failed;
                 ++stats_.expired_mid_batch;
             }
@@ -490,24 +360,27 @@ ServingEngine::isolateRows(std::vector<Pending> reqs)
             continue;
         }
         const std::size_t len = p.tokens.size();
+        std::fill(std::copy(p.tokens.begin(), p.tokens.end(),
+                            tokens.begin()),
+                  tokens.end(), cfg_.pad_token);
         try {
-            // A 1-row batch at the row's own length: bitwise equal to
-            // the row's batched result by the engine's determinism
-            // guarantee, so survivors of a poisoned batch see logits
-            // identical to a fault-free run. Model faults are sticky
-            // (serve/fault.h): the poisoned row fails here again.
-            const Tensor logits =
-                invokeModel(p.tokens, 1, len, {len}, false,
-                            core_.injectedFault(p.admission_index));
+            // The row as its batch held it - padded to the group's
+            // length - as a 1-row batch: bitwise equal to the row's
+            // batched result by the engine's determinism guarantee, so
+            // survivors of a poisoned batch see logits identical to a
+            // fault-free run (a Fourier mixer mixes the same pad rows
+            // in). Model faults are sticky (serve/fault.h): the
+            // poisoned row fails here again.
+            const Tensor logits = core_.guard(
+                [&] { return model_.forwardBatch(tokens, 1, seq, {len}); },
+                false, core_.injectedFault(p.admission_index));
             const std::size_t classes = logits.dim(1);
             std::vector<float> out(logits.data(),
                                    logits.data() + classes);
             {
-                std::lock_guard<std::mutex> guard(mu_);
+                std::lock_guard<std::mutex> guard(core_.mu);
                 ++stats_.completed;
-                stats_.real_tokens += len;
-                stats_.padded_tokens += len;
-                stats_.tight_tokens += len;
+                countTokensLocked(1, seq, len, len);
             }
             p.promise.set_value(std::move(out));
         } catch (...) {
@@ -519,24 +392,17 @@ ServingEngine::isolateRows(std::vector<Pending> reqs)
 void
 ServingEngine::dispatchLoop()
 {
-    std::unique_lock<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(core_.mu);
     for (;;) {
-        std::optional<BatchGroup> group;
-        // While flushers wait, drain the buckets holding their
-        // pre-watermark requests; post-watermark traffic keeps normal
-        // full/timeout batching (and cannot starve the flusher, since
-        // its buckets no longer compete for the drain).
-        if (stop_ || draining_)
-            group = batcher_.drain();
-        else if (inline_active_ > 0 && flush_waiters_ == 0) {
-            // Inline serveAll() servers own the queue: parking here
-            // avoids stealing their groups (and serialising on the
-            // model mutex behind them). They notify work_cv_ on exit
-            // for whatever traffic remains.
-            work_cv_.wait(lk);
-            continue;
-        } else if (flush_waiters_ > 0)
-            group = batcher_.drainBelow(flush_watermark_);
+        // Draining at shutdown; otherwise the buckets holding requests
+        // a flush() or serveAll() waits for go first. Post-watermark
+        // traffic keeps normal full/timeout batching (and cannot
+        // starve the waiters, since its buckets no longer compete for
+        // the drain).
+        std::optional<BatchGroup> group =
+            core_.stop || core_.draining
+                ? batcher_.drain()
+                : batcher_.drainBelow(core_.flush_watermark);
         if (!group)
             group = batcher_.popReady(RequestBatcher::Clock::now(),
                                       cfg_.max_wait);
@@ -555,7 +421,7 @@ ServingEngine::dispatchLoop()
                 deadlines_.erase(deadlines_.begin());
         }
         if (!group) {
-            if (stop_)
+            if (core_.stop)
                 break; // queue drained
             auto oldest = batcher_.oldestEnqueue();
             std::optional<RequestBatcher::Clock::time_point> wake;
@@ -564,7 +430,7 @@ ServingEngine::dispatchLoop()
             // Re-arm against the earliest queued deadline too: it
             // turns urgent at deadline - max_wait, and an arriving
             // request with an earlier effective deadline notifies
-            // work_cv_ (submit()), landing back here to re-arm - the
+            // work_cv (submit()), landing back here to re-arm - the
             // dispatcher never sleeps out a full max_wait while a
             // near-deadline request expires in queue.
             if (!deadlines_.empty()) {
@@ -574,9 +440,9 @@ ServingEngine::dispatchLoop()
                     wake = urgent_at;
             }
             if (wake)
-                work_cv_.wait_until(lk, *wake);
+                core_.work_cv.wait_until(lk, *wake);
             else
-                work_cv_.wait(lk);
+                core_.work_cv.wait(lk);
             continue;
         }
 
@@ -603,12 +469,13 @@ ServingEngine::claimGroupLocked(const BatchGroup &group)
         auto it = pending_.find(id);
         Pending p = std::move(it->second);
         pending_.erase(it);
-        queued_tokens_ -= p.tokens.size();
+        core_.queued_tokens -= p.tokens.size();
         eraseDeadlineLocked(p.deadline, id);
         if (p.deadline != kNoDeadline && p.deadline <= now) {
             // Expired while queued: fail BEFORE any model time is
-            // spent. Counted under mu_ (held) before the future is
-            // readied; outstanding_ is erased in finishGroupLocked.
+            // spent. Counted under the lock (held) before the future
+            // is readied; the id leaves outstanding in
+            // finishGroupLocked.
             ++stats_.failed;
             ++stats_.expired_in_queue;
             p.promise.set_exception(std::make_exception_ptr(Error(
@@ -644,8 +511,8 @@ void
 ServingEngine::finishGroupLocked(const BatchGroup &group)
 {
     for (std::uint64_t id : group.ids)
-        outstanding_.erase(id);
-    idle_cv_.notify_all(); // flush()/serveAll() waiters re-check
+        core_.outstanding.erase(id);
+    core_.idle_cv.notify_all(); // flush()/serveAll() waiters re-check
 }
 
 } // namespace serve

@@ -31,20 +31,20 @@
  * between parallelFor grain chunks and encoder blocks), and
  * shutdown(Deadline) drains in-flight work then fails the remainder
  * with ShuttingDown. serve/fault.h injects every one of these paths
- * deterministically (`ctest -L fault`). The mechanism is the
- * ReliabilityCore both engines share (serve/reliability.h); this
- * engine adds only its bucketed scheduling policy.
+ * deterministically (`ctest -L fault`). The mechanism and the request
+ * lifecycle are the ReliabilityCore both engines share
+ * (serve/reliability.h); this engine adds only its bucketed queue and
+ * its dispatcher loop.
  *
  * ## Threading model
- * A dispatcher thread serves submit() traffic, and serveAll() callers
- * run their own drain groups inline (inline bulk dispatch - no
- * per-batch handoff for the synchronous path); all model invocations
- * are serialised on an internal mutex because the layer caches make
+ * One dispatcher thread serves the queue, whether the requests came
+ * from submit() or serveAll(), and it is the only caller of the model
+ * - isolation retries included - because the layer caches make
  * concurrent forward calls on one model unsafe. Intra-batch
  * parallelism comes from the kernels' parallelFor, so the pool - not
- * the request count - sets the concurrency. submit() is safe from any
- * number of client threads. The engine must be the model's only user
- * while it is alive.
+ * the request count - sets the concurrency. submit(), serveAll() and
+ * flush() are safe from any number of client threads. The engine must
+ * be the model's only user while it is alive.
  *
  * ## Determinism
  * For attention-mixer models every served logits row is bitwise
@@ -53,8 +53,10 @@
  * attention, padded rows out of the pooled head, and every kernel is
  * per-row order-preserving (see model/classifier.h::forwardBatch and
  * tests/serving_test.cpp). Fault isolation preserves this: rows
- * re-served by the isolation pass run as 1-row batches, which the same
- * guarantee makes bitwise equal to their batched result.
+ * re-served by the isolation pass run as 1-row batches at their
+ * group's padded length, which the same guarantee makes bitwise equal
+ * to their batched result - for Fourier-mixer models too, whose rows
+ * depend on the padded length.
  *
  * ## Workspace lifecycle
  * Long-lived serving threads would otherwise retain peak-size kernel
@@ -67,13 +69,11 @@
 #define FABNET_SERVE_SERVING_H
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
-#include <mutex>
 #include <set>
 #include <span>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -107,7 +107,10 @@ struct ServingConfig : ReliabilityConfig
      * models (queried via SequenceClassifier::supportsMaskedBatch)
      * unless buckets are padding-free (bucket_granularity == 1, where
      * determinism holds anyway) or this flag explicitly forfeits the
-     * per-request determinism guarantee.
+     * per-request determinism guarantee. Either way a request whose
+     * padded length the model cannot run (a Fourier mixer's FFT runs
+     * power-of-two lengths only; SequenceClassifier::runsLength) is
+     * refused at admission with Error{InvalidRequest}.
      */
     bool allow_unmasked_mixers = false;
 };
@@ -119,10 +122,8 @@ struct ServingStats : ReliabilityStats
     std::size_t batches = 0;         ///< groups dispatched to the model
     std::size_t flushed_full = 0;    ///< batches from a full bucket
     std::size_t flushed_timeout = 0; ///< batches from max_wait expiry
-    std::size_t flushed_drain = 0;   ///< batches from flush()/shutdown
-    /** Batches run on a serveAll() caller's thread instead of the
-     *  dispatcher (inline bulk dispatch). Subset of `batches`. */
-    std::size_t inline_batches = 0;
+    /** Batches drained for flush(), serveAll() or shutdown. */
+    std::size_t flushed_drain = 0;
     std::size_t real_tokens = 0;     ///< sum of request lengths served
     std::size_t padded_tokens = 0;   ///< sum of batch * padded_len
     /** Sum of batch * (longest member's length) per batch: the token
@@ -185,7 +186,8 @@ class ServingEngine
      * Enqueue one sequence; the future resolves to its logits (length
      * = model classes, padding already stripped) or fails with a
      * serve::Error. Admission-time conditions throw synchronously:
-     * Error{InvalidRequest} for empty/over-long sequences,
+     * Error{InvalidRequest} for empty/over-long sequences and for a
+     * padded length the model cannot run,
      * Error{QueueFull} when bounded admission rejects (after the shed
      * policy ran), Error{DeadlineExceeded} when @p deadline already
      * passed, Error{ShuttingDown} once shutdown began. Later failures
@@ -201,29 +203,23 @@ class ServingEngine
 
     /**
      * Serve a whole request set synchronously through the batching
-     * path and return the logits in request order.
+     * path and return the logits in request order: admit the set, then
+     * wait for it exactly as flush() does. The dispatcher serves it,
+     * draining each bucket FIFO in max_batch groups (counted in
+     * flushed_drain), so the set forms the same batches as submit()
+     * of each request followed by flush(). Safe from multiple threads.
      *
-     * Inline bulk dispatch: the calling thread enqueues everything in
-     * one critical section (without waking the dispatcher), then
-     * claims and runs the ready/drain groups itself - the same
-     * grouping, model invocation and stats accounting as the
-     * dispatcher path, minus the per-batch handoff and context
-     * switch that dominated the synchronous path on 1-core boxes
-     * (ServingStats::inline_batches counts these). Any group a
-     * concurrently-awake dispatcher claims first is simply waited
-     * for; logits are identical either way. Safe from multiple
-     * threads: model invocations are serialised internally.
-     *
-     * Admission is ALL-OR-NOTHING: the whole set is validated before
-     * anything is enqueued, so a malformed request throws
-     * Error{InvalidRequest} (naming the offending index) with no
-     * partial set left behind; if an enqueue still fails mid-set
-     * (e.g. an injected admission fault) the already-admitted prefix
-     * is unwound and failed rather than drained silently. serveAll is
-     * exempt from the admission caps (synchronous callers are their
-     * own backpressure) and its requests carry no deadline. If any
-     * request of the set fails (e.g. ModelFault on its row), the
-     * first failure in request order is rethrown here.
+     * Admission is ALL-OR-NOTHING and happens in one critical section:
+     * the whole set is validated before anything is enqueued, so a
+     * malformed request throws Error{InvalidRequest} (naming the
+     * offending index) with no partial set left behind; if an enqueue
+     * still fails mid-set (e.g. an injected admission fault) the
+     * already-admitted prefix is unwound and failed rather than
+     * drained silently. serveAll is exempt from the admission caps
+     * (synchronous callers are their own backpressure) and its
+     * requests carry no deadline. If any request of the set fails
+     * (e.g. ModelFault on its row), the first failure in request order
+     * is rethrown here.
      */
     std::vector<std::vector<float>>
     serveAll(const std::vector<std::vector<int>> &requests);
@@ -288,59 +284,56 @@ class ServingEngine
      */
     void runGroup(const BatchGroup &group, ClaimedGroup claimed);
 
-    /**
-     * One model invocation under the model mutex, guarded by the core
-     * (watchdog, cancellation scope, injected stall / row @p fault).
-     * Throws runtime::Cancelled when the watchdog or a shutdown
-     * deadline fires mid-invocation.
-     */
-    Tensor invokeModel(const std::vector<int> &tokens, std::size_t bsz,
-                       std::size_t seq,
-                       const std::vector<std::size_t> &lens, bool stall,
-                       const std::string &fault);
-
     /** Bounded per-row retry after a group's invocation failed: each
-     *  surviving row is re-run exactly once as a 1-row batch (bitwise
-     *  equal to its batched result by the engine's determinism
-     *  guarantee); the poisoned rows alone fail with ModelFault. */
-    void isolateRows(std::vector<Pending> reqs);
+     *  surviving row is re-run exactly once as a 1-row batch at the
+     *  group's padded length @p seq (bitwise equal to its batched
+     *  result by the engine's determinism guarantee); the poisoned
+     *  rows alone fail with ModelFault. */
+    void isolateRows(std::vector<Pending> reqs, std::size_t seq);
 
-    /** Fail every member of @p reqs with @p err (stats under mu_
+    /** Fail every member of @p reqs with @p err (stats under the lock
      *  first, then the futures). */
     void failGroup(std::span<Pending> reqs, const Error &err);
 
-    /** Enqueue one request (mu_ held); returns its logits future.
+    /** Count a served batch of @p bsz rows padded to @p seq, holding
+     *  @p real tokens with @p max_len the longest row (lock held). */
+    void countTokensLocked(std::size_t bsz, std::size_t seq,
+                           std::size_t real, std::size_t max_len);
+
+    /** Error{InvalidRequest} unless a @p len-token request is
+     *  non-empty, fits max_seq and pads to a length the model can run
+     *  (submit() and serveAll() validation). */
+    void checkLength(std::size_t len) const;
+
+    /** Enqueue one request (lock held); returns its logits future.
      *  @p enforce_bounds applies the admission caps (submit path). */
     std::future<std::vector<float>>
     enqueueLocked(std::vector<int> tokens, Deadline deadline,
                   bool enforce_bounds);
-    /** DropExpiredFirst shed pass (mu_ held): fail + evict expired
-     *  queued requests. */
-    void shedExpiredLocked(RequestBatcher::Clock::time_point now);
-    /** Drop @p id's deadlines_ entry, if it has one (mu_ held). */
+    /** Fail every queued request whose id satisfies @p pred with
+     *  @p err (lock held): the shed pass, the serveAll() unwind and the
+     *  shutdown abandon. Returns the number failed. */
+    std::size_t
+    failQueuedLocked(const std::function<bool(std::uint64_t)> &pred,
+                     const Error &err);
+    /** Drop @p id's deadlines_ entry, if it has one (lock held). */
     void eraseDeadlineLocked(Deadline deadline, std::uint64_t id);
     /** Take a group's pending requests, failing expired members, and
-     *  count the batch (mu_ held). */
+     *  count the batch (lock held). */
     ClaimedGroup claimGroupLocked(const BatchGroup &group);
-    /** Post-runGroup bookkeeping: outstanding_ and waiters (mu_ held). */
+    /** Post-runGroup bookkeeping: outstanding ids and waiters (lock
+     *  held). */
     void finishGroupLocked(const BatchGroup &group);
-    /** Fail every still-queued request with ShuttingDown (mu_ held;
-     *  the shutdown-deadline abandon path). */
-    void failQueuedLocked();
 
     SequenceClassifier &model_;
-    std::mutex model_mu_; ///< serialises forwardBatch invocations
     ServingConfig cfg_;
-    /** Admission, watchdog, guarded invocation; declared before the
-     *  dispatcher so it outlives every invocation. */
+    /** Request lifecycle (its mu guards everything below), admission,
+     *  watchdog, guarded invocation; declared before the dispatcher so
+     *  it outlives every invocation. */
     ReliabilityCore core_;
 
-    mutable std::mutex mu_;
-    std::condition_variable work_cv_; ///< wakes the dispatcher
-    std::condition_variable idle_cv_; ///< wakes flush()/shutdown waiters
     RequestBatcher batcher_;
     std::unordered_map<std::uint64_t, Pending> pending_;
-    std::set<std::uint64_t> outstanding_; ///< submitted, not yet served
     /**
      * Deadlines of QUEUED requests, ordered soonest-first (ids with
      * kNoDeadline are never entered). Kept in lockstep with the
@@ -352,22 +345,7 @@ class ServingEngine
      * expire inside the normal max_wait window.
      */
     std::multiset<std::pair<Deadline, std::uint64_t>> deadlines_;
-    std::uint64_t next_id_ = 0;
-    std::uint64_t submit_seq_ = 0;  ///< admission attempts (FaultPlan)
-    std::size_t dispatch_seq_ = 0;  ///< model batches dispatched
-    std::size_t queued_tokens_ = 0; ///< tokens admitted, not claimed
-    bool stop_ = false;             ///< destructor: dispatcher exits
-    bool draining_ = false;         ///< shutdown(): no new admissions
-    /**
-     * Number of serveAll() calls currently draining inline. While
-     * positive (and no flush() is waiting) the dispatcher parks
-     * instead of competing for groups: the inline callers pop ready
-     * and drain groups themselves, and wake the dispatcher on exit
-     * for whatever traffic remains.
-     */
-    int inline_active_ = 0;
-    int flush_waiters_ = 0;
-    std::uint64_t flush_watermark_ = 0; ///< max watermark of waiters
+    std::size_t dispatch_seq_ = 0; ///< model batches dispatched
     ServingStats stats_;
 
     std::thread dispatcher_; ///< last member: starts fully-initialised

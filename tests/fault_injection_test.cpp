@@ -24,6 +24,7 @@
 
 #include <chrono>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -385,6 +386,63 @@ TEST_F(FaultInjectionTest, PoisonedRowFailsAloneSurvivorsBitwise)
         EXPECT_EQ(st.isolation_retries, 1u)
             << "exactly the poisoned group retried";
     });
+}
+
+TEST_F(FaultInjectionTest, SurvivorsRetryAtTheirGroupsPaddedLength)
+{
+    // Isolation re-runs each survivor as the row its batch held:
+    // padded to the group's length. A Fourier mixer mixes those pad
+    // rows in, so a retry at the row's own length would fail ({20, 30}
+    // in bucket 32: no 30-point FFT) or differ from the fault-free run
+    // ({16, 8} in bucket 16). Request #0 is poisoned; the survivor must
+    // match the fault-free run bitwise and count at the padded length.
+    const std::vector<std::vector<std::size_t>> groups = {{20, 30},
+                                                          {16, 8}};
+    for (ModelKind kind :
+         {ModelKind::FNet, ModelKind::FABNet, ModelKind::Transformer}) {
+        ModelConfig cfg = tinyCfg();
+        cfg.kind = kind; // FABNet: n_abfly 0, every block FBfly
+        Rng rng(83);
+        auto model = buildModel(cfg, rng);
+        for (const auto &lens : groups) {
+            const auto reqs = makeRequests(lens, cfg.vocab, 89);
+            testutil::forEachThreadCount([&](std::size_t threads) {
+                const std::string tag =
+                    "kind=" + std::to_string(static_cast<int>(kind)) +
+                    " lens=" + std::to_string(lens[0]) + "," +
+                    std::to_string(lens[1]) +
+                    " threads=" + std::to_string(threads);
+                ServingConfig sc = parkedCfg();
+                sc.allow_unmasked_mixers = true;
+                std::vector<std::vector<float>> want;
+                {
+                    ServingEngine clean(*model, sc);
+                    want = clean.serveAll(reqs); // one group, no fault
+                }
+                FaultPlan plan;
+                plan.request_faults[0] = FaultPlan::Stage::Model;
+                sc.fault_plan = &plan;
+                ServingEngine engine(*model, sc);
+                auto bad = engine.submit(reqs[0]);
+                auto good = engine.submit(reqs[1]);
+                engine.flush();
+
+                expectError(ErrorCode::ModelFault, [&] { bad.get(); },
+                            "poisoned row");
+                EXPECT_EQ(good.get(), want[1]) << tag;
+                const std::size_t seq = engine.bucketLen(lens[0]);
+                const auto st = engine.stats();
+                EXPECT_EQ(st.isolation_retries, 1u) << tag;
+                EXPECT_EQ(st.model_faults, 1u) << tag;
+                EXPECT_EQ(st.completed, 1u) << tag;
+                EXPECT_EQ(st.real_tokens, lens[1]) << tag;
+                EXPECT_EQ(st.padded_tokens, seq) << tag;
+                EXPECT_EQ(st.rows_skipped,
+                          model->supportsMaskedBatch() ? seq - lens[1] : 0)
+                    << tag;
+            });
+        }
+    }
 }
 
 TEST_F(FaultInjectionTest, SingleRowFaultIsFinalNoRetryLoop)

@@ -12,8 +12,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -188,12 +190,11 @@ TEST_F(ServingTest, ResultsInvariantToBatchComposition)
     }
 }
 
-TEST_F(ServingTest, ServeAllRunsInlineWithIdenticalLogitsAndStats)
+TEST_F(ServingTest, ServeAllMatchesSubmitAndFlushLogitsAndStats)
 {
-    // Inline bulk dispatch: serveAll() must run its drain groups on
-    // the calling thread (no dispatcher round-trip), with logits
-    // bitwise identical to serial inference and the same grouping
-    // stats the dispatcher path produces.
+    // serveAll() admits its set and waits for the dispatcher to serve
+    // it: logits bitwise identical to serial inference, and the same
+    // batches as submitting each request and flushing.
     const ModelConfig cfg = tinyCfg(ModelKind::Transformer);
     Rng rng(53);
     auto model = buildModel(cfg, rng);
@@ -206,11 +207,11 @@ TEST_F(ServingTest, ServeAllRunsInlineWithIdenticalLogitsAndStats)
     ServingConfig sc;
     sc.max_batch = 4;
     sc.bucket_granularity = 16;
-    // Long max_wait: the dispatcher is never woken by serveAll and
-    // never times out, so EVERY batch must have run inline.
+    // Long max_wait: no batch ever times out, so every batch is a full
+    // or a drained bucket.
     sc.max_wait = std::chrono::seconds(5);
 
-    serve::ServingStats inline_stats;
+    serve::ServingStats serve_all_stats;
     for (std::size_t threads : kThreadCounts) {
         runtime::setNumThreads(threads);
         ServingEngine engine(*model, sc);
@@ -220,17 +221,14 @@ TEST_F(ServingTest, ServeAllRunsInlineWithIdenticalLogitsAndStats)
         EXPECT_EQ(st.requests, reqs.size());
         EXPECT_EQ(st.completed, reqs.size());
         EXPECT_EQ(st.failed, 0u);
-        EXPECT_EQ(st.inline_batches, st.batches)
-            << "a batch round-tripped through the dispatcher";
         EXPECT_EQ(st.flushed_timeout, 0u);
         EXPECT_EQ(st.batches, st.flushed_full + st.flushed_drain);
         EXPECT_EQ(st.real_tokens, total_tokens);
-        inline_stats = st; // deterministic across thread counts
+        serve_all_stats = st; // deterministic across thread counts
     }
 
-    // The dispatcher path (submit + flush) serves the same stream
-    // with the same grouping: identical logits and aggregate stats,
-    // only the execution thread differs.
+    // submit + flush serves the same stream with the same grouping:
+    // identical logits and aggregate stats.
     {
         ServingEngine engine(*model, sc);
         std::vector<std::future<std::vector<float>>> futs;
@@ -243,11 +241,10 @@ TEST_F(ServingTest, ServeAllRunsInlineWithIdenticalLogitsAndStats)
             got.push_back(f.get());
         EXPECT_TRUE(bitwiseEqual(got, want));
         const auto st = engine.stats();
-        EXPECT_EQ(st.inline_batches, 0u);
-        EXPECT_EQ(st.batches, inline_stats.batches);
-        EXPECT_EQ(st.completed, inline_stats.completed);
-        EXPECT_EQ(st.real_tokens, inline_stats.real_tokens);
-        EXPECT_EQ(st.padded_tokens, inline_stats.padded_tokens);
+        EXPECT_EQ(st.batches, serve_all_stats.batches);
+        EXPECT_EQ(st.completed, serve_all_stats.completed);
+        EXPECT_EQ(st.real_tokens, serve_all_stats.real_tokens);
+        EXPECT_EQ(st.padded_tokens, serve_all_stats.padded_tokens);
     }
 }
 
@@ -533,6 +530,91 @@ TEST_F(ServingTest, RejectsFourierModelsUnlessOptedIn)
     ServingEngine engine(*model, exact);
     const auto out = engine.serveAll(makeRequests({8, 8, 16}, cfg.vocab, 5));
     ASSERT_EQ(out.size(), 3u);
+}
+
+TEST_F(ServingTest, FourierModelsRefuseUnrunnableLengthsAtAdmission)
+{
+    // A Fourier mixer's FFT runs power-of-two lengths only. Every
+    // length 1..max_seq: a request is refused synchronously with
+    // InvalidRequest exactly when its bucket is not a power of two;
+    // every other request is served, bitwise equal to its padded row
+    // alone through forwardBatch, and nothing fails inside the model.
+    const auto powerOfTwo = [](std::size_t n) {
+        return n != 0 && (n & (n - 1)) == 0;
+    };
+    for (ModelKind kind : {ModelKind::FNet, ModelKind::FABNet}) {
+        ModelConfig cfg = tinyCfg(kind);
+        cfg.d_hid = 64;
+        cfg.n_abfly = 0; // FABNet: every block FBfly
+        Rng rng(233);
+        auto model = buildModel(cfg, rng);
+        std::vector<std::size_t> lens(cfg.max_seq);
+        for (std::size_t i = 0; i < lens.size(); ++i)
+            lens[i] = i + 1;
+        const auto reqs = makeRequests(lens, cfg.vocab, 239);
+        for (std::size_t granularity : {std::size_t{1}, std::size_t{16}}) {
+            ServingConfig sc;
+            sc.bucket_granularity = granularity;
+            sc.allow_unmasked_mixers = true;
+            sc.max_wait = std::chrono::seconds(5);
+            const std::string tag =
+                "kind=" + std::to_string(static_cast<int>(kind)) +
+                " granularity=" + std::to_string(granularity);
+
+            // References first: the engine must be the model's only
+            // user while it is alive.
+            const RequestBatcher batcher(sc.max_batch, granularity,
+                                         cfg.max_seq);
+            std::vector<std::vector<float>> want(reqs.size());
+            for (std::size_t i = 0; i < reqs.size(); ++i) {
+                const std::size_t bucket = batcher.bucketLen(lens[i]);
+                if (!powerOfTwo(bucket))
+                    continue;
+                std::vector<int> row(bucket, sc.pad_token);
+                std::copy(reqs[i].begin(), reqs[i].end(), row.begin());
+                const Tensor logits =
+                    model->forwardBatch(row, 1, bucket, {lens[i]});
+                want[i].assign(logits.data(),
+                               logits.data() + logits.size());
+            }
+
+            ServingEngine engine(*model, sc);
+            std::vector<std::future<std::vector<float>>> futs(reqs.size());
+            std::size_t refused = 0;
+            for (std::size_t i = 0; i < reqs.size(); ++i) {
+                const bool runs = powerOfTwo(batcher.bucketLen(lens[i]));
+                try {
+                    futs[i] = engine.submit(reqs[i]);
+                    EXPECT_TRUE(runs) << tag << " len=" << lens[i];
+                } catch (const serve::Error &e) {
+                    EXPECT_EQ(e.code(), serve::ErrorCode::InvalidRequest)
+                        << tag << " len=" << lens[i];
+                    EXPECT_FALSE(runs) << tag << " len=" << lens[i];
+                    ++refused;
+                }
+            }
+            engine.flush();
+            for (std::size_t i = 0; i < reqs.size(); ++i) {
+                if (futs[i].valid()) {
+                    EXPECT_EQ(futs[i].get(), want[i])
+                        << tag << " len=" << lens[i];
+                }
+            }
+            EXPECT_EQ(refused, granularity == 1 ? 57u : 16u) << tag;
+
+            // serveAll() validates its whole set up front: one refused
+            // length (40) rejects the set with nothing admitted.
+            const std::size_t admitted = engine.stats().requests;
+            EXPECT_THROW(engine.serveAll({reqs[0], reqs[39]}),
+                         serve::Error)
+                << tag;
+            const auto st = engine.stats();
+            EXPECT_EQ(st.requests, admitted) << tag;
+            EXPECT_EQ(st.requests, reqs.size() - refused) << tag;
+            EXPECT_EQ(st.completed, st.requests) << tag;
+            EXPECT_EQ(st.model_faults, 0u) << tag;
+        }
+    }
 }
 
 TEST_F(ServingTest, StatsTrackPaddingOverhead)
