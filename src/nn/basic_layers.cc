@@ -12,8 +12,7 @@ namespace fabnet {
 namespace nn {
 
 LayerNorm::LayerNorm(std::size_t dim, float eps)
-    : dim_(dim), eps_(eps), gamma_(dim, 1.0f), beta_(dim, 0.0f),
-      ggamma_(dim, 0.0f), gbeta_(dim, 0.0f)
+    : dim_(dim), eps_(eps), gamma_(dim, 1.0f), beta_(dim, 0.0f)
 {
 }
 
@@ -25,8 +24,11 @@ LayerNorm::normRows(const Tensor &x, const RowSet &rows)
         throw std::invalid_argument("LayerNorm: dim mismatch");
     Tensor y(x.shape()); // zero-init: padded rows stay 0
     if constexpr (kCache) {
-        cached_xhat_ = Tensor(x.shape());
-        inv_std_.assign(rows.totalRows(), 0.0f);
+        // Every row is valid here and overwrites its cache entries, so
+        // the caches are reused across calls of one shape.
+        if (cached_xhat_.shape() != x.shape())
+            cached_xhat_ = Tensor(x.shape());
+        inv_std_.resize(rows.totalRows());
     }
     const float *px = x.data();
     float *py = y.data();
@@ -75,6 +77,8 @@ LayerNorm::forwardRows(const Tensor &x, const RowSet &rows)
 Tensor
 LayerNorm::backward(const Tensor &grad_out)
 {
+    sizeGrad(ggamma_, dim_);
+    sizeGrad(gbeta_, dim_);
     const std::size_t rows = grad_out.size() / dim_;
     Tensor gx(grad_out.shape());
     const float *pg = grad_out.data();
@@ -125,6 +129,8 @@ LayerNorm::backward(const Tensor &grad_out)
 Tensor
 LayerNorm::backwardReference(const Tensor &grad_out)
 {
+    sizeGrad(ggamma_, dim_);
+    sizeGrad(gbeta_, dim_);
     const std::size_t rows = grad_out.size() / dim_;
     Tensor gx(grad_out.shape());
     const float *pg = grad_out.data();

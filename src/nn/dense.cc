@@ -1,5 +1,6 @@
 #include "nn/dense.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -14,8 +15,9 @@ namespace nn {
 
 namespace {
 
-/** Workspace tag for the per-call W^T copy in Dense::forwardRows. */
-struct DenseWtWs;
+/** Workspace tag for Dense::backward's [out, in] copies of W and
+ *  dL/dW. */
+struct DenseBwdWs;
 
 /** Workspace tag for the butterfly layers' packed-gather buffers. */
 struct BflyPackWs;
@@ -93,13 +95,15 @@ rowCount(const Tensor &x)
 } // namespace
 
 Dense::Dense(std::size_t in_features, std::size_t out_features, Rng &rng)
-    : in_(in_features), out_(out_features), w_(in_ * out_), b_(out_, 0.0f),
-      gw_(in_ * out_, 0.0f), gb_(out_, 0.0f)
+    : in_(in_features), out_(out_features), w_(in_ * out_), b_(out_, 0.0f)
 {
     // Kaiming-style init keeps activations stable for ReLU/GELU nets.
+    // Drawn in W's [out, in] order, so a seed gives the same weights
+    // whatever the storage layout.
     const float stddev = std::sqrt(2.0f / static_cast<float>(in_));
-    for (float &v : w_)
-        v = rng.normal(stddev);
+    for (std::size_t o = 0; o < out_; ++o)
+        for (std::size_t i = 0; i < in_; ++i)
+            w_[i * out_ + o] = rng.normal(stddev);
 }
 
 Tensor
@@ -122,44 +126,17 @@ Dense::forwardRows(const Tensor &x, const nn::RowSet &rows)
     out_shape.back() = out_;
     Tensor y(out_shape); // zero-init: padded rows stay 0
 
+    // y = x W^T + b: w_ already holds W^T [in, out], the GEMM's B
+    // operand, so the panel runs straight off it over the valid row
+    // spans with the bias folded into the accumulator init. Each
+    // output is one chain - bias, then i-ascending madd - so a row's
+    // bits depend neither on the spans nor on the row count.
     const float *px = x.data();
-    const float *pb = b_.data();
     float *py = y.data();
-    if (rows.totalRows() < runtime::kGemmTileM) {
-        // Too few rows to amortise a W^T copy (e.g. single-token
-        // inference): direct dot products, same k-order chain per
-        // output as the tiled path, so results are bitwise equal.
-        rows.forEachSpan(0, rows.totalRows(),
-                         [&](std::size_t r0, std::size_t r1) {
-            for (std::size_t r = r0; r < r1; ++r) {
-                const float *xr = px + r * in_;
-                float *yr = py + r * out_;
-                for (std::size_t o = 0; o < out_; ++o) {
-                    const float *wr = &w_[o * in_];
-                    float acc = pb[o];
-                    for (std::size_t i = 0; i < in_; ++i)
-                        acc = runtime::madd(wr[i], xr[i], acc);
-                    yr[o] = acc;
-                }
-            }
-        });
-        return y;
-    }
-    // y = x W^T + b: transpose W once per call (pure data movement),
-    // then run the register-tiled panel over the valid row spans with
-    // the bias folded into the accumulator init - same fp order per
-    // output as the original scalar loop, so each row's bits do not
-    // depend on the spans. The transpose recurs per call because the
-    // optimizer mutates w_ in place through ParamRef, so the layer has
-    // no signal that weights are unchanged; at rows >= kGemmTileM the
-    // O(in*out) copy is a small fraction of the O(rows*in*out) GEMM it
-    // enables.
-    float *wt = runtime::threadWorkspace<DenseWtWs>(in_ * out_);
-    runtime::transposeInto(wt, w_.data(), out_, in_);
-    const float *pw = wt;
     nn::forEachRowSpan(rows, runtime::kGemmRowGrain,
                        [&](std::size_t r0, std::size_t r1) {
-        runtime::gemmRowsIKJ(px, pw, py, r0, r1, in_, out_, pb);
+        runtime::gemmRowsIKJ(px, w_.data(), py, r0, r1, in_, out_,
+                             b_.data());
     });
     return y;
 }
@@ -172,10 +149,20 @@ Dense::backward(const Tensor &grad_out)
     if (grad_out.shape().back() != out_ || rowCount(grad_out) != rows)
         throw std::invalid_argument("Dense::backward: shape mismatch");
 
+    sizeGrad(gw_, w_.size());
+    sizeGrad(gb_, b_.size());
     Tensor gx(x.shape());
     const float *pg = grad_out.data();
     const float *px = x.data();
     float *pgx = gx.data();
+
+    // Both sweeps below stream one output feature's row of W (or of
+    // dL/dW) contiguously, so they run on [out, in] copies: an
+    // O(in*out) transpose each way against O(rows*in*out) arithmetic.
+    float *w_oi = runtime::threadWorkspace<DenseBwdWs>(2 * in_ * out_);
+    float *gw_oi = w_oi + in_ * out_;
+    runtime::transposeInto(w_oi, w_.data(), in_, out_);
+    runtime::transposeInto(gw_oi, gw_.data(), in_, out_);
 
     // dL/dx: rows are independent and each row's o-loop runs in the
     // reference's ascending order, so row-parallelism is free.
@@ -187,7 +174,7 @@ Dense::backward(const Tensor &grad_out)
                 const float g = gr[o];
                 if (g == 0.0f)
                     continue;
-                const float *wr = &w_[o * in_];
+                const float *wr = w_oi + o * in_;
                 for (std::size_t i = 0; i < in_; ++i)
                     gxr[i] = runtime::madd(g, wr[i], gxr[i]);
             }
@@ -210,12 +197,13 @@ Dense::backward(const Tensor &grad_out)
                 if (g == 0.0f)
                     continue;
                 gb_[o] += g;
-                float *gwr = &gw_[o * in_];
+                float *gwr = gw_oi + o * in_;
                 for (std::size_t i = 0; i < in_; ++i)
                     gwr[i] = runtime::madd(g, xr[i], gwr[i]);
             }
         }
     });
+    runtime::transposeInto(gw_.data(), gw_oi, out_, in_);
     return gx;
 }
 
@@ -227,6 +215,8 @@ Dense::backwardReference(const Tensor &grad_out)
     if (grad_out.shape().back() != out_ || rowCount(grad_out) != rows)
         throw std::invalid_argument("Dense::backward: shape mismatch");
 
+    sizeGrad(gw_, w_.size());
+    sizeGrad(gb_, b_.size());
     Tensor gx(x.shape());
     const float *pg = grad_out.data();
     const float *px = x.data();
@@ -241,11 +231,10 @@ Dense::backwardReference(const Tensor &grad_out)
             if (g == 0.0f)
                 continue;
             gb_[o] += g;
-            float *gwr = &gw_[o * in_];
-            const float *wr = &w_[o * in_];
             for (std::size_t i = 0; i < in_; ++i) {
-                gwr[i] = runtime::madd(g, xr[i], gwr[i]);
-                gxr[i] = runtime::madd(g, wr[i], gxr[i]);
+                float &gw = gw_[i * out_ + o];
+                gw = runtime::madd(g, xr[i], gw);
+                gxr[i] = runtime::madd(g, w_[i * out_ + o], gxr[i]);
             }
         }
     }
@@ -268,40 +257,40 @@ Dense::quantizedReplacement(QuantKind kind) const
 QuantizedDense::QuantizedDense(const Dense &dense, QuantKind kind)
     : in_(dense.inFeatures()), out_(dense.outFeatures()), kind_(kind)
 {
-    const std::vector<float> &w = dense.weight(); // [out, in]
+    const std::vector<float> &w = dense.weight(); // W^T [in, out]
     if (kind_ == QuantKind::Fp16) {
-        // Round through binary16 and hold one shared widened [in, out]
-        // panel: the GEMM consumes fp16-representable fp32 values, so
-        // building the panel once at construction beats both per-call
-        // rebuilds and retaining the raw binary16 bits nothing reads.
-        std::vector<std::uint16_t> w16(w.size());
-        runtime::floatToHalfBitsRow(w.data(), w16.data(), w.size());
-        wt_h_.resize(w.size());
-        for (std::size_t o = 0; o < out_; ++o)
-            for (std::size_t i = 0; i < in_; ++i)
-                wt_h_[i * out_ + o] = halfBitsToFloat(w16[o * in_ + i]);
+        // Round through binary16 and hold the widened [in, out] panel:
+        // the GEMM consumes fp16-representable fp32 values, so building
+        // the panel once at construction beats both per-call rebuilds
+        // and retaining the raw binary16 bits nothing reads.
+        wt_h_ = w;
+        runtime::roundRowToHalf(wt_h_.data(), wt_h_.size());
         bias_h_.resize(out_);
         for (std::size_t o = 0; o < out_; ++o)
             bias_h_[o] = roundToHalf(dense.bias()[o]);
         return;
     }
-    // int8: quantise each output feature's row, transpose to [in, out]
-    // and pack pairs once - the panel consumes it with zero per-call
-    // weight prep (the fp32 layer re-transposes every forward).
+    // int8: quantise each output feature (a column of [in, out]; its
+    // max is exact in any order) and pack pairs once - the panel
+    // consumes it with zero per-call weight prep.
     bias_ = dense.bias();
+    std::vector<float> max_abs(out_, 0.0f);
+    for (std::size_t i = 0; i < in_; ++i)
+        for (std::size_t o = 0; o < out_; ++o)
+            max_abs[o] = std::max(max_abs[o], std::fabs(w[i * out_ + o]));
     wscale_.resize(out_);
-    std::vector<std::int8_t> wq(w.size());
+    std::vector<float> inv(out_);
     for (std::size_t o = 0; o < out_; ++o) {
-        const float *row = w.data() + o * in_;
-        wscale_[o] =
-            runtime::int8Scale(runtime::maxAbsRow(row, in_));
-        runtime::quantizeInt8Row(row, wq.data() + o * in_, in_,
-                                 wscale_[o]);
+        wscale_[o] = runtime::int8Scale(max_abs[o]);
+        inv[o] = 1.0f / wscale_[o];
     }
-    std::vector<std::int8_t> wqt(w.size());
-    runtime::transposeInto(wqt.data(), wq.data(), out_, in_);
+    std::vector<std::int8_t> wq(w.size());
+    for (std::size_t i = 0; i < in_; ++i)
+        runtime::quantizeInt8RowPerCol(w.data() + i * out_,
+                                       wq.data() + i * out_, out_,
+                                       inv.data());
     bp_.resize(((in_ + 1) / 2) * out_ * 2);
-    runtime::packInt8PairsB(wqt.data(), bp_.data(), in_, out_);
+    runtime::packInt8PairsB(wq.data(), bp_.data(), in_, out_);
 }
 
 Tensor
@@ -374,12 +363,18 @@ QuantizedDense::backward(const Tensor &)
 
 ButterflyDense::ButterflyDense(std::size_t in_features,
                                std::size_t out_features, Rng &rng)
-    : op_(in_features, out_features), grad_bias_(out_features, 0.0f)
+    : op_(in_features, out_features)
 {
     op_.initRandomRotation(rng);
-    grad_cores_.resize(op_.numCores());
+    grad_cores_.resize(op_.numCores()); // each sized on first use
+}
+
+void
+ButterflyDense::sizeGrads()
+{
     for (std::size_t c = 0; c < op_.numCores(); ++c)
-        grad_cores_[c].assign(op_.core(c).numWeights(), 0.0f);
+        sizeGrad(grad_cores_[c], op_.core(c).numWeights());
+    sizeGrad(grad_bias_, op_.bias().size());
 }
 
 Tensor
@@ -440,6 +435,7 @@ ButterflyDense::backward(const Tensor &grad_out)
         throw std::invalid_argument(
             "ButterflyDense::backward: shape mismatch");
 
+    sizeGrads();
     Tensor gx(in_shape_);
     // Trajectory scratch is a member so the steady state allocates
     // nothing; fully overwritten by backwardBatch's pass 1.
@@ -457,6 +453,7 @@ ButterflyDense::backwardReference(const Tensor &grad_out)
         throw std::invalid_argument(
             "ButterflyDense::backward: shape mismatch");
 
+    sizeGrads();
     Tensor gx(in_shape_);
     const std::size_t cache_per_row = op_.cacheSize();
     for (std::size_t r = 0; r < rows_; ++r) {

@@ -19,7 +19,12 @@
 namespace fabnet {
 namespace nn {
 
-/** Standard dense layer y = x W^T + b with W of shape [out, in]. */
+/**
+ * Standard dense layer y = x W^T + b with W of shape [out, in], stored
+ * transposed: weight() (and its gradient) hold W^T [in, out], the B
+ * operand layout of the GEMM panel, so inference streams only the
+ * activations and never copies the weight.
+ */
 class Dense : public Layer
 {
   public:
@@ -30,18 +35,22 @@ class Dense : public Layer
     Tensor forward(const Tensor &x) override;
 
     /**
-     * The one forward body: the W^T panel is built once per call and
-     * the GEMM sweeps only the valid row spans (right-padding keeps
-     * each sequence's rows contiguous, so no gather/scatter is needed;
-     * see docs/ARCHITECTURE.md for why in-place spans beat packing
-     * here). Padded rows are zero.
+     * The one forward body: one GEMM call per valid row span, straight
+     * off the stored [in, out] weight with the bias folded in
+     * (right-padding keeps each sequence's rows contiguous, so no
+     * gather/scatter is needed; see docs/ARCHITECTURE.md for why
+     * in-place spans beat packing here). Each output is the chain
+     * bias, then i-ascending madd, at any row count. Padded rows are
+     * zero.
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
     /**
      * Parallel backward: dL/dx row-parallel (disjoint rows), dL/dW and
      * dL/db owner-parallel over output features with the row reduction
-     * kept in ascending order (runtime/reduce.h). Bitwise identical to
+     * kept in ascending order (runtime/reduce.h). Both sweeps run on
+     * [out, in] copies of W and dL/dW made per call, so each streams
+     * one output feature's row contiguously. Bitwise identical to
      * backwardReference at any thread count.
      */
     Tensor backward(const Tensor &grad_out) override;
@@ -56,15 +65,17 @@ class Dense : public Layer
     std::size_t inFeatures() const { return in_; }
     std::size_t outFeatures() const { return out_; }
 
+    /** W^T, row-major [in, out]: W[o][i] is weight()[i * out + o]. */
     std::vector<float> &weight() { return w_; }
     std::vector<float> &bias() { return b_; }
+    /** W^T, row-major [in, out] (see the non-const overload). */
     const std::vector<float> &weight() const { return w_; }
     const std::vector<float> &bias() const { return b_; }
 
   private:
     std::size_t in_, out_;
-    std::vector<float> w_, b_;
-    std::vector<float> gw_, gb_;
+    std::vector<float> w_, b_;   // w_ is W^T [in, out]
+    std::vector<float> gw_, gb_; // gw_ in w_'s layout; sized on first use
     Tensor cached_input_;
 };
 
@@ -116,6 +127,9 @@ class ButterflyDense : public Layer
     ButterflyLinear &op() { return op_; }
 
   private:
+    /** Size unsized gradient buffers (backward's first call). */
+    void sizeGrads();
+
     ButterflyLinear op_;
     std::vector<std::vector<float>> grad_cores_;
     std::vector<float> grad_bias_;
@@ -128,17 +142,17 @@ class ButterflyDense : public Layer
 /**
  * Inference-only reduced-precision Dense, built from a trained Dense.
  *
- * int8: weights quantised per output feature at construction
- * (symmetric, runtime/kernels.h semantics) and held pre-packed for the
- * int8 GEMM panel - unlike fp32 Dense there is no per-call weight
- * prep. Activations are quantised dynamically per row; accumulation is
- * exact int32; outputs dequantise to fp32 with the fp32 bias added as
- * a separate rounded op.
+ * int8: weights quantised per output feature (a column of Dense's
+ * [in, out] weight) at construction (symmetric, runtime/kernels.h
+ * semantics) and held pre-packed for the int8 GEMM panel, so no call
+ * preps weights - as in fp32 Dense. Activations are quantised
+ * dynamically per row; accumulation is exact int32; outputs dequantise
+ * to fp32 with the fp32 bias added as a separate rounded op.
  *
  * fp16: weights and bias rounded through binary16 at construction and
- * held as one shared widened/transposed fp32 panel; activations are
- * rounded through binary16 per call, accumulation runs in fp32 and
- * outputs round through binary16 (gemmRowsF16).
+ * held as one widened fp32 panel in Dense's [in, out] layout;
+ * activations are rounded through binary16 per call, accumulation runs
+ * in fp32 and outputs round through binary16 (gemmRowsF16).
  *
  * Both modes are bitwise thread-count-invariant; int8 additionally
  * matches the scalar reference GEMM exactly. backward() throws -

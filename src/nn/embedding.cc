@@ -14,8 +14,7 @@ namespace nn {
 Embedding::Embedding(std::size_t vocab, std::size_t max_seq,
                      std::size_t d_model, Rng &rng)
     : vocab_(vocab), max_seq_(max_seq), d_(d_model), tok_(vocab * d_model),
-      pos_(max_seq * d_model), gtok_(vocab * d_model, 0.0f),
-      gpos_(max_seq * d_model, 0.0f)
+      pos_(max_seq * d_model)
 {
     const float stddev = 0.02f;
     for (float &v : tok_)
@@ -94,6 +93,8 @@ Embedding::forwardStep(const std::vector<int> &tokens,
 void
 Embedding::backward(const Tensor &grad_out)
 {
+    sizeGrad(gtok_, tok_.size());
+    sizeGrad(gpos_, pos_.size());
     const float *pg = grad_out.data();
     // Owner-parallel over hidden columns: task [j0, j1) owns those
     // columns of gtok_ AND gpos_, walking (b, t) in the reference's
@@ -119,6 +120,8 @@ Embedding::backward(const Tensor &grad_out)
 void
 Embedding::backwardReference(const Tensor &grad_out)
 {
+    sizeGrad(gtok_, tok_.size());
+    sizeGrad(gpos_, pos_.size());
     const float *pg = grad_out.data();
     for (std::size_t b = 0; b < b_; ++b) {
         for (std::size_t t = 0; t < t_; ++t) {
@@ -144,7 +147,7 @@ Embedding::collectParams(std::vector<ParamRef> &out)
 MeanPoolClassifier::MeanPoolClassifier(std::size_t d_model,
                                        std::size_t classes, Rng &rng)
     : d_(d_model), classes_(classes), w_(classes * d_model),
-      b_(classes, 0.0f), gw_(classes * d_model, 0.0f), gb_(classes, 0.0f)
+      b_(classes, 0.0f)
 {
     const float stddev = std::sqrt(2.0f / static_cast<float>(d_model));
     for (float &v : w_)
@@ -219,6 +222,8 @@ struct PoolGradWs;
 Tensor
 MeanPoolClassifier::backward(const Tensor &grad_logits)
 {
+    sizeGrad(gw_, w_.size());
+    sizeGrad(gb_, b_.size());
     Tensor gx = Tensor::zeros(batch_, t_, d_);
     const float inv_t = 1.0f / static_cast<float>(t_);
     const float *pgl = grad_logits.data();
@@ -269,6 +274,8 @@ MeanPoolClassifier::backward(const Tensor &grad_logits)
 Tensor
 MeanPoolClassifier::backwardReference(const Tensor &grad_logits)
 {
+    sizeGrad(gw_, w_.size());
+    sizeGrad(gb_, b_.size());
     Tensor gx = Tensor::zeros(batch_, t_, d_);
     const float inv_t = 1.0f / static_cast<float>(t_);
     std::vector<float> gpool(d_);

@@ -23,7 +23,9 @@
 namespace fabnet {
 namespace nn {
 
-/** A trainable parameter: flat value vector plus its gradient. */
+/** A trainable parameter: flat value vector plus its gradient (empty
+ *  until the first backward(), zeroGrads() or optimizer step sizes it;
+ *  see sizeGrad). */
 struct ParamRef
 {
     std::vector<float> *value;
@@ -205,12 +207,24 @@ allRows(const Tensor &x)
     return RowSet(d ? x.size() / d : 0, 1);
 }
 
-/** Zero every gradient in @p params. */
+/**
+ * Size an unsized gradient buffer to @p n zeros. Layers allocate their
+ * gradients on first use (backward(), zeroGrads(), an optimizer step),
+ * so a model that only runs inference holds no gradient memory.
+ */
+inline void
+sizeGrad(std::vector<float> &grad, std::size_t n)
+{
+    if (grad.size() != n)
+        grad.assign(n, 0.0f);
+}
+
+/** Zero every gradient in @p params, sizing unsized ones. */
 inline void
 zeroGrads(const std::vector<ParamRef> &params)
 {
     for (const auto &p : params)
-        std::fill(p.grad->begin(), p.grad->end(), 0.0f);
+        p.grad->assign(p.value->size(), 0.0f);
 }
 
 /**

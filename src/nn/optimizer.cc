@@ -33,6 +33,7 @@ Sgd::step()
     for (std::size_t i = 0; i < params_.size(); ++i) {
         auto &w = *params_[i].value;
         auto &g = *params_[i].grad;
+        sizeGrad(g, w.size()); // a layer backward() never reached
         if (momentum_ != 0.0f) {
             auto &vel = velocity_[i];
             runtime::parallelFor(0, w.size(), kStepGrain,
@@ -81,6 +82,7 @@ Adam::step()
     for (std::size_t i = 0; i < params_.size(); ++i) {
         auto &w = *params_[i].value;
         auto &g = *params_[i].grad;
+        sizeGrad(g, w.size()); // a layer backward() never reached
         auto &m = m_[i];
         auto &v = v_[i];
         runtime::parallelFor(

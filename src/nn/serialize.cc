@@ -12,7 +12,7 @@ namespace nn {
 namespace {
 
 constexpr char kMagic[4] = {'F', 'A', 'B', 'W'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 struct FileCloser
 {

@@ -6,7 +6,12 @@
  *
  * Format: magic "FABW", u32 version, u64 count of parameter vectors,
  * then per vector a u64 length and that many f32 values, little
- * endian.
+ * endian. Each vector is written in its layer's storage order.
+ *
+ * Version 2: nn::Dense stores W transposed, [in, out] (version 1 held
+ * [out, in]). A square layer's vector has the same length in both, so
+ * a version 1 file would load silently transposed; loadParams refuses
+ * any version but 2.
  */
 #ifndef FABNET_NN_SERIALIZE_H
 #define FABNET_NN_SERIALIZE_H

@@ -214,10 +214,21 @@ GenerationEngine::advance(Live &seq, int tok, std::vector<Live> &keep)
         }
     }
     seq.next_input = tok;
-    if (seqDone(seq))
-        completeSeq(seq);
-    else
+    if (!seqDone(seq)) {
         keep.push_back(std::move(seq));
+    } else if (seq.req.deadline != kNoDeadline &&
+               seq.req.deadline <= Deadline::clock::now()) {
+        // Finished by a step that ended past the deadline: discarded,
+        // as ServingEngine discards a result computed past it, so a
+        // fulfilled future always resolved within its deadline.
+        failSeq(seq.req,
+                Error(ErrorCode::DeadlineExceeded,
+                      "deadline passed during the final decode step "
+                      "(generation discarded)"),
+                true);
+    } else {
+        completeSeq(seq);
+    }
 }
 
 Tensor

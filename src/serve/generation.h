@@ -80,8 +80,9 @@ struct GenerationConfig : ReliabilityConfig
  *  and execution identity are the ReliabilityStats base. */
 struct GenerationStats : ReliabilityStats
 {
-    /** Live sequences evicted because their deadline passed between
-     *  decode steps (tokens generated so far are discarded). */
+    /** Live sequences failed because their deadline passed between
+     *  decode steps, or during the step that finished them (tokens
+     *  generated so far are discarded). */
     std::size_t expired_mid_decode = 0;
     std::size_t prefill_batches = 0;   ///< batched prefill invocations
     std::size_t steps = 0;             ///< decode step invocations

@@ -291,6 +291,33 @@ TEST_F(GenerationEngineTest, DeadlineEvictsMidDecode)
     EXPECT_LT(st.decode_tokens, 20u);
 }
 
+TEST_F(GenerationEngineTest, SequenceFinishedPastDeadlineIsNotFulfilled)
+{
+    Rng rng(49);
+    auto gen = buildGenerator(genCfg(), rng);
+    // The prefill yields token 1 well inside the deadline; the decode
+    // step that yields the last token (invocation 1) ends 200 ms in,
+    // past the 50 ms deadline. Its result is discarded, as
+    // ServingEngine discards a batch result computed past a deadline.
+    FaultPlan plan;
+    plan.batch_delays[1] = std::chrono::milliseconds(200);
+    GenerationConfig cfg;
+    cfg.fault_plan = &plan;
+    GenerationEngine eng(*gen, cfg);
+    auto fut = eng.submit({1, 2, 3}, 2,
+                          deadlineAfter(std::chrono::milliseconds(50)));
+    try {
+        (void)fut.get();
+        FAIL() << "expected DeadlineExceeded";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::DeadlineExceeded);
+    }
+    const GenerationStats st = eng.stats();
+    EXPECT_EQ(st.expired_mid_decode, 1u);
+    EXPECT_EQ(st.completed, 0u);
+    EXPECT_EQ(st.decode_tokens, 2u);
+}
+
 TEST_F(GenerationEngineTest, FaultPoisonsOnlyItsOwnSequence)
 {
     Rng rng(48);

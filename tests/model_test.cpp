@@ -9,6 +9,7 @@
 #include "model/builder.h"
 #include "model/classifier.h"
 #include "model/config.h"
+#include "nn/optimizer.h"
 #include "tensor/rng.h"
 
 namespace fabnet {
@@ -182,6 +183,34 @@ TEST(Classifier, ParamsListCoversEmbeddingBlocksHead)
     auto ps = model->params();
     // Embedding (2) + 2 FNet blocks (FFN 4 + LN 4 each) + head (2).
     EXPECT_EQ(ps.size(), 2u + 2u * 8u + 2u);
+}
+
+TEST(Classifier, GradientsAreSizedOnFirstUse)
+{
+    // A model that only serves holds no gradient memory: every
+    // gradient stays empty until backward(), zeroGrads() or an
+    // optimizer step sizes it.
+    for (ModelKind kind :
+         {ModelKind::Transformer, ModelKind::FNet, ModelKind::FABNet}) {
+        Rng rng(16);
+        auto model = buildModel(tinyConfig(kind), rng);
+        auto ps = model->params();
+        std::vector<std::vector<float>> before;
+        for (const auto &p : ps) {
+            EXPECT_TRUE(p.grad->empty()) << model->config().describe();
+            before.push_back(*p.value);
+        }
+        // A step with no backward behind it reads zero gradients.
+        nn::Adam opt(ps, 1e-2f);
+        opt.step();
+        for (std::size_t i = 0; i < ps.size(); ++i) {
+            EXPECT_EQ(*ps[i].grad, std::vector<float>(before[i].size()));
+            EXPECT_EQ(*ps[i].value, before[i]);
+        }
+        nn::zeroGrads(ps);
+        for (const auto &p : ps)
+            EXPECT_EQ(p.grad->size(), p.value->size());
+    }
 }
 
 } // namespace

@@ -35,7 +35,7 @@ TEST(Dense, ForwardMatchesMatmul)
     // Manual check of one output element.
     float acc = layer.bias()[1];
     for (std::size_t i = 0; i < 4; ++i)
-        acc += layer.weight()[1 * 4 + i] * x.at(1, 2, i);
+        acc += layer.weight()[i * 3 + 1] * x.at(1, 2, i);
     EXPECT_NEAR(y.at(1, 2, 1), acc, 1e-5f);
 }
 

@@ -291,6 +291,50 @@ TEST_F(ParallelKernelsTest, DenseForwardThreadCountInvariance)
     });
 }
 
+TEST_F(ParallelKernelsTest, DenseForwardEqualsScalarChain)
+{
+    // Dense::forwardRows has no row-count branch: below, at and past
+    // the GEMM tile height, and on a ragged set, every output is the
+    // chain bias, then i-ascending madd over the stored [in, out]
+    // weight - the chain single-token inference used to run as scalar
+    // dot products.
+    const std::size_t in = 24, out = 37;
+    Rng rng(79);
+    nn::Dense dense(in, out, rng);
+    for (float &b : dense.bias())
+        b = rng.normal();
+    const std::vector<float> &w = dense.weight();
+
+    std::vector<std::pair<nn::RowSet, Tensor>> cases;
+    for (std::size_t n = 1; n <= 9; ++n) {
+        const nn::RowSet rows(1, n);
+        cases.emplace_back(rows, testutil::raggedInput(rows, in, 80 + n));
+    }
+    const nn::RowSet ragged(4, 7, {7, 2, 5, 1});
+    cases.emplace_back(ragged, testutil::raggedInput(ragged, in, 90));
+
+    for (const auto &[rows, x] : cases) {
+        Tensor want({rows.batch(), rows.seq(), out});
+        rows.forEachSpan(0, rows.totalRows(),
+                         [&](std::size_t r0, std::size_t r1) {
+            for (std::size_t r = r0; r < r1; ++r) {
+                const float *xr = x.data() + r * in;
+                for (std::size_t o = 0; o < out; ++o) {
+                    float acc = dense.bias()[o];
+                    for (std::size_t i = 0; i < in; ++i)
+                        acc = runtime::madd(xr[i], w[i * out + o], acc);
+                    want.data()[r * out + o] = acc;
+                }
+            }
+        });
+        forEachThreadCount([&](std::size_t threads) {
+            EXPECT_TRUE(bitwiseEqual(dense.forwardRows(x, rows), want))
+                << rows.totalRows() << " rows over " << rows.batch()
+                << " sequences, threads=" << threads;
+        });
+    }
+}
+
 TEST_F(ParallelKernelsTest, SimBatchCrossValidation)
 {
     // The functional fp16 engine batch entry must track the fp32

@@ -245,16 +245,18 @@ TEST_F(QuantKernelsTest, QuantizedDenseInt8MatchesReferenceGemm)
     const Tensor x2 = x.reshaped({rows, in});
     Tensor want = Tensor::zeros(rows, out);
     std::vector<std::int8_t> qx(in), qw(in);
+    std::vector<float> wr(in); // W[o], a column of the [in, out] weight
     for (std::size_t r = 0; r < rows; ++r) {
         const float *xr = x2.data() + r * in;
         const float sa =
             runtime::int8Scale(runtime::maxAbsRow(xr, in));
         runtime::quantizeInt8Row(xr, qx.data(), in, sa);
         for (std::size_t o = 0; o < out; ++o) {
-            const float *wr = dense.weight().data() + o * in;
+            for (std::size_t i = 0; i < in; ++i)
+                wr[i] = dense.weight()[i * out + o];
             const float sw =
-                runtime::int8Scale(runtime::maxAbsRow(wr, in));
-            runtime::quantizeInt8Row(wr, qw.data(), in, sw);
+                runtime::int8Scale(runtime::maxAbsRow(wr.data(), in));
+            runtime::quantizeInt8Row(wr.data(), qw.data(), in, sw);
             std::int32_t acc = 0;
             for (std::size_t i = 0; i < in; ++i)
                 acc += static_cast<std::int32_t>(qx[i]) *
@@ -290,7 +292,7 @@ TEST_F(QuantKernelsTest, QuantizedDenseF16MatchesScalarChain)
             float acc = roundToHalf(dense.bias()[o]);
             for (std::size_t i = 0; i < in; ++i)
                 acc = runtime::madd(roundToHalf(x.at(r, i)),
-                                    roundToHalf(dense.weight()[o * in + i]),
+                                    roundToHalf(dense.weight()[i * out + o]),
                                     acc);
             want.at(r, o) = roundToHalf(acc);
         }

@@ -1,8 +1,9 @@
 /**
  * @file serialize_test.cpp
  * Checkpoint round trips: save/load of model parameters, layout
- * validation, behavioural equivalence after reload, and a malformed-
- * file sweep (truncations, corrupted fields, trailing bytes) that must
+ * validation, behavioural equivalence after reload, a malformed-file
+ * sweep (truncations, corrupted fields, trailing bytes) and a version 1
+ * file (Dense weights in the old [out, in] order), each of which must
  * be rejected without touching any parameter.
  */
 #include <gtest/gtest.h>
@@ -225,6 +226,71 @@ TEST(Serialize, MalformedFilesRejectedWithoutTouchingParams)
     // The intact file still loads.
     writeBytes(path, good);
     EXPECT_TRUE(nn::loadParams(params, path));
+    std::remove(path.c_str());
+}
+
+/** A model with square Dense layers, whose vectors read the same
+ *  length in any storage order. */
+ModelConfig
+denseCfg()
+{
+    ModelConfig cfg = tinyCfg();
+    cfg.kind = ModelKind::Transformer;
+    cfg.n_abfly = cfg.n_total;
+    return cfg;
+}
+
+TEST(Serialize, VersionTwoRoundTripIsBitwise)
+{
+    Rng rng(10);
+    auto source = buildModel(denseCfg(), rng);
+    const auto path = tempPath("fab_v2.bin");
+    ASSERT_TRUE(nn::saveParams(source->params(), path));
+    const std::vector<char> bytes = readBytes(path);
+    ASSERT_GE(bytes.size(), 8u);
+    std::uint32_t version = 0;
+    std::memcpy(&version, bytes.data() + 4, sizeof(version));
+    EXPECT_EQ(version, 2u);
+
+    Rng rng2(11);
+    auto target = buildModel(denseCfg(), rng2);
+    ASSERT_TRUE(nn::loadParams(target->params(), path));
+    const auto pa = source->params();
+    const auto pb = target->params();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t i = 0; i < pa.size(); ++i)
+        EXPECT_EQ(std::memcmp(pa[i].value->data(), pb[i].value->data(),
+                              pa[i].value->size() * sizeof(float)),
+                  0)
+            << "param vector " << i;
+    std::remove(path.c_str());
+}
+
+TEST(Serialize, VersionOneFileRefusedWithoutTouchingParams)
+{
+    // Version 1 stored Dense weights [out, in]: loading one into the
+    // [in, out] layout would transpose every square layer silently.
+    Rng rng(12);
+    auto source = buildModel(denseCfg(), rng);
+    const auto path = tempPath("fab_v1.bin");
+    ASSERT_TRUE(nn::saveParams(source->params(), path));
+    std::vector<char> bytes = readBytes(path);
+    const std::uint32_t v1 = 1;
+    std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
+    writeBytes(path, bytes);
+
+    Rng rng2(13);
+    auto target = buildModel(denseCfg(), rng2);
+    const auto params = target->params();
+    std::vector<std::vector<float>> before;
+    for (const auto &p : params)
+        before.push_back(*p.value);
+    EXPECT_FALSE(nn::loadParams(params, path));
+    for (std::size_t i = 0; i < params.size(); ++i)
+        EXPECT_EQ(std::memcmp(params[i].value->data(), before[i].data(),
+                              before[i].size() * sizeof(float)),
+                  0)
+            << "param vector " << i << " written";
     std::remove(path.c_str());
 }
 

@@ -6,14 +6,16 @@
  * operations against one ServingEngine and one GenerationEngine:
  * submit() (some with deadlines), serveAll() and flush(), one
  * shutdown(deadline) per engine at a seeded point, and generation
- * submits whose token callback throws at a seeded token - all under
+ * submits (some with deadlines) whose token callback throws at a
+ * seeded token - all under
  * FaultPlans with seeded admission faults, model faults and batch
  * delays. Odd seeds serve an FNet model (Fourier mixers, padded
  * buckets), even seeds a Transformer. The harness checks that:
  *  - every future resolves exactly once, with a result of the right
  *    shape or a typed serve::Error;
  *  - completed + failed == requests once the engine has drained;
- *  - no fulfilled logits resolved after their request's deadline;
+ *  - no fulfilled logits or tokens resolved after their request's
+ *    deadline;
  *  - fulfilled logits equal serial inference bitwise, and fulfilled
  *    tokens (and streamed prefixes) equal the generator's greedy
  *    reference.
@@ -65,7 +67,8 @@ constexpr std::size_t kOpsPerClient = 32;
  *  ready: the engine stamps the batch's finish before it publishes the
  *  results, so only that publication may trail the deadline. */
 constexpr milliseconds kDeadlineSlack{50};
-/** The longest submit() deadline, in ms from submission. */
+/** The longest submit() deadline (both engines), in ms from
+ *  submission. */
 constexpr int kMaxDeadlineMs = 20;
 
 ModelConfig
@@ -140,6 +143,7 @@ struct Schedule
         std::size_t max_new = 0;
         std::vector<int> tokens; ///< fulfilled result (empty: failed)
         std::shared_ptr<std::vector<int>> streamed; ///< null: no callback
+        bool late = false; ///< still unresolved at deadline + slack
     };
 
     std::mutex mu; // guards everything below
@@ -203,6 +207,9 @@ resolveTokens(Schedule &s, Schedule::Tokens req,
         req.tokens = fut.get();
         if (req.tokens.empty() || req.tokens.size() > req.max_new)
             s.violation("generated token count outside [1, max_new]");
+        if (req.late)
+            s.violation(
+                "generated tokens fulfilled after the request's deadline");
         std::lock_guard<std::mutex> lk(s.mu);
         ++s.gen_fulfilled;
     } catch (const Error &) {
@@ -302,12 +309,21 @@ runClient(Schedule &s, std::size_t client)
                             throw std::runtime_error("callback throws");
                     };
                 }
+                // A third carry a deadline, watched as submit()'s are.
+                const Deadline d =
+                    rng.randint(0, 2) == 0
+                        ? deadlineAfter(
+                              milliseconds(rng.randint(1, kMaxDeadlineMs)))
+                        : kNoDeadline;
                 auto fut = s.generation->submit(req.prompt, req.max_new,
-                                                kNoDeadline, on_token);
+                                                d, on_token);
                 {
                     std::lock_guard<std::mutex> lk(s.mu);
                     ++s.gen_futures;
                 }
+                if (d != kNoDeadline)
+                    req.late = fut.wait_until(d + kDeadlineSlack) !=
+                               std::future_status::ready;
                 tokens.emplace_back(std::move(req), std::move(fut));
             } else {
                 s.generation->flush();
@@ -431,7 +447,8 @@ TEST_F(ServingScheduleTest, SeededSchedulesKeepTheLifecycleContract)
                                  : serve::ShedPolicy::RejectNew;
             sc.fault_plan = &serve_plan;
 
-            const FaultPlan gen_plan = seededPlan(rng, 2, 10, 0, 0);
+            const FaultPlan gen_plan =
+                seededPlan(rng, 2, 10, 1, kMaxDeadlineMs + 60);
             GenerationConfig gc;
             gc.max_live = rng.randint(0, 1) ? 3 : 1;
             gc.max_queue_requests = rng.randint(0, 1) ? 0 : 4;
