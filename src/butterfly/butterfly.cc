@@ -446,15 +446,6 @@ ButterflyLinear::numParams() const
 }
 
 std::size_t
-ButterflyLinear::flops() const
-{
-    std::size_t f = out_; // bias adds
-    for (const auto &c : cores_)
-        f += c.flops();
-    return f;
-}
-
-std::size_t
 ButterflyLinear::cacheSize() const
 {
     // Each core records (stages + 1) * core_n_ activations; the padded

@@ -229,9 +229,6 @@ class ButterflyLinear
     /** Trainable parameter count (cores + bias). */
     std::size_t numParams() const;
 
-    /** Multiply-accumulate FLOPs of one vector. */
-    std::size_t flops() const;
-
     /** Floats of training cache per vector (applyToRows' @p cache). */
     std::size_t cacheSize() const;
 

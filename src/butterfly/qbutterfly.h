@@ -97,7 +97,8 @@ class QuantizedButterflyLinear
     /**
      * Serial stage-major apply over @p rows contiguous vectors (the
      * body one applyBatch task runs; see ButterflyLinear::applyToRows)
-     * for ragged valid-row-span callers. Exactly equal to
+     * for callers that sweep row chunks themselves
+     * (nn::QuantizedButterflyDense). Exactly equal to
      * applyBatchReference() for any @p rows.
      */
     void applyToRows(const float *in, float *out, std::size_t rows) const;

@@ -23,7 +23,7 @@ makeMixer(MixerKind mixer, LinearKind proj, const ModelConfig &cfg,
           Rng &rng)
 {
     if (mixer == MixerKind::Fourier)
-        return std::make_unique<nn::FourierMix>();
+        return std::make_unique<nn::FourierMix>(cfg.d_hid);
     const std::size_t d = cfg.d_hid;
     auto mha = std::make_unique<nn::MultiHeadAttention>(
         d, cfg.heads, makeLinear(proj, d, d, rng),

@@ -65,8 +65,9 @@ SequenceClassifier::forwardBatch(const std::vector<int> &tokens,
         if (L == 0 || L > seq)
             throw std::invalid_argument(
                 "SequenceClassifier::forwardBatch: len out of [1, seq]");
-    // Maskable models skip padded rows in every layer. Fourier mixers
-    // mix the embedded pad rows in, so their models run every row.
+    // The embedding packs the valid rows once; a maskable model's
+    // layers never see a pad. Fourier mixers mix the embedded pad rows
+    // in, so their models run the padding-free set.
     // Serving cancellation (watchdog / shutdown deadline): in addition
     // to the per-grain poll inside every parallelFor, re-check between
     // blocks so a cancelled invocation unwinds at layer granularity
@@ -79,7 +80,7 @@ SequenceClassifier::forwardBatch(const std::vector<int> &tokens,
         runtime::checkCancelled();
         x = blk->forwardRows(x, rows);
     }
-    return head_.forwardMasked(x, lens);
+    return head_.forwardMasked(x, rows, lens);
 }
 
 std::size_t

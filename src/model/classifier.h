@@ -62,17 +62,20 @@ class SequenceClassifier
      * occupying the first lens[b] slots of its row and pad tokens
      * after. The pooled head averages over the real prefix only.
      *
-     * Execution: one forwardRows chain. A maskable model
-     * (supportsMaskedBatch()) runs the nn::RowSet of @p lens, so every
-     * layer SKIPS the padded rows and attention masks padded keys:
-     * each logits row is bitwise identical to forward(sequence_b, 1,
-     * lens[b]) at any thread count - the property the serving engine
-     * (serve/serving.h) relies on and `ragged-parity` pins. A model
-     * with Fourier mixers (no masked form, see nn/layer.h) runs the
-     * padding-free RowSet: every row, pads included, is embedded and
-     * mixed, so each logits row is reproducible only against the same
-     * row served at the same padded length. Inference-only: do not
-     * call trainBatch-style backward passes after it.
+     * Execution: one forwardRows chain over packed rows (nn/rowset.h).
+     * A maskable model (supportsMaskedBatch()) runs the nn::RowSet of
+     * @p lens: the embedding packs each sequence's real rows back to
+     * back, so no layer ever computes a pad, and attention runs each
+     * sequence over its own keys. Each logits row is bitwise identical
+     * to forward(sequence_b, 1, lens[b]) at any thread count - the
+     * property the serving engine (serve/serving.h) relies on and
+     * `ragged-parity` pins. A model with Fourier mixers (no
+     * per-sequence form, see nn/layer.h) runs the padding-free
+     * RowSet: every row, pads included, is embedded and mixed, and
+     * the head pools each sequence's first lens[b] rows, so each
+     * logits row is reproducible only against the same row served at
+     * the same padded length. Inference-only: do not call
+     * trainBatch-style backward passes after it.
      */
     Tensor forwardBatch(const std::vector<int> &tokens, std::size_t batch,
                         std::size_t seq,

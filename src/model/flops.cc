@@ -122,15 +122,6 @@ butterflyLinearParams(std::size_t in, std::size_t out)
 }
 
 std::size_t
-fullModelParams(const ModelConfig &cfg)
-{
-    const std::size_t embeddings =
-        cfg.vocab * cfg.d_hid + cfg.max_seq * cfg.d_hid;
-    const std::size_t head = cfg.classes * cfg.d_hid + cfg.classes;
-    return modelParams(cfg) + embeddings + head;
-}
-
-std::size_t
 modelParams(const ModelConfig &cfg)
 {
     const std::size_t d = cfg.d_hid;

@@ -69,13 +69,6 @@ FlopsBreakdown modelFlops(const ModelConfig &cfg, std::size_t seq);
 /** Trainable parameter count (blocks only, no embeddings/head). */
 std::size_t modelParams(const ModelConfig &cfg);
 
-/**
- * Whole-model size: blocks + token/positional embeddings + classifier
- * head. This is the "model size" of Fig. 17 - the embedding tables
- * matter, since FABNet's compressed blocks leave them dominant.
- */
-std::size_t fullModelParams(const ModelConfig &cfg);
-
 /** Parameters of one dense linear layer. */
 std::size_t denseLinearParams(std::size_t in, std::size_t out);
 

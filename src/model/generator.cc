@@ -54,24 +54,19 @@ CausalGenerator::newState() const
 }
 
 Tensor
-CausalGenerator::headLogits(const Tensor &x,
-                            const std::vector<std::size_t> &lens)
+CausalGenerator::headLogits(const Tensor &x, const nn::RowSet &rows)
 {
-    // Gather each sequence's last valid hidden row and project it
-    // through the LM head as an [n, 1, d] batch. Dense is row-wise, so
-    // the logits row's bits depend only on the gathered hidden row.
-    const std::size_t n = lens.size();
+    // Gather each sequence's last row out of the packed rows and
+    // project the [n, d] result through the LM head. Dense is row-wise,
+    // so the logits row's bits depend only on the gathered hidden row.
+    const std::size_t n = rows.batch();
     const std::size_t d = cfg_.d_hid;
-    Tensor last = Tensor::zeros(n, 1, d);
+    Tensor last = Tensor::zeros(n, d);
     for (std::size_t b = 0; b < n; ++b)
         std::memcpy(last.data() + b * d,
-                    x.data() + (b * x.dim(1) + (lens[b] - 1)) * d,
+                    x.data() + (rows.start(b) + rows.len(b) - 1) * d,
                     d * sizeof(float));
-    Tensor l3 = head_.forwardRows(last, nn::RowSet(n, 1));
-    Tensor logits = Tensor::zeros(n, cfg_.vocab);
-    std::memcpy(logits.data(), l3.data(),
-                n * cfg_.vocab * sizeof(float));
-    return logits;
+    return head_.forwardRows(last, nn::RowSet(n, 1));
 }
 
 Tensor
@@ -94,8 +89,8 @@ CausalGenerator::batchedForward(
                 "CausalGenerator: sequence longer than max_seq");
         seq = std::max(seq, lens[b]);
     }
-    // Right-pad with token 0 (never embedded - the ragged chain skips
-    // padded rows - but range-checked like any id).
+    // Right-pad with token 0 (never embedded - the embedding packs the
+    // valid rows only - but range-checked like any id).
     std::vector<int> flat(n * seq, 0);
     for (std::size_t b = 0; b < n; ++b)
         std::copy(seqs[b].begin(), seqs[b].end(),
@@ -117,7 +112,7 @@ CausalGenerator::batchedForward(
         }
     }
     runtime::checkCancelled();
-    return headLogits(x, lens);
+    return headLogits(x, rows);
 }
 
 Tensor
@@ -181,8 +176,7 @@ CausalGenerator::decodeStep(const std::vector<int> &tokens,
     runtime::checkCancelled();
     for (std::size_t b = 0; b < n; ++b)
         states[b]->len += 1;
-    const std::vector<std::size_t> ones(n, 1);
-    return headLogits(x, ones);
+    return headLogits(x, nn::RowSet(n, 1));
 }
 
 Tensor

@@ -61,9 +61,9 @@ class CausalGenerator
 
     /**
      * Ragged batched prompt prefill: computes every prompt's hidden
-     * states in one right-padded ragged batch (the PR 5 RowSet
-     * machinery - padded rows are skipped, valid rows bitwise match an
-     * unpadded run), captures each sequence's K/V projections into its
+     * states in one packed batch (nn/rowset.h - no pad is computed,
+     * each prompt's rows bitwise match an unpadded run), captures each
+     * sequence's K/V projections into its
      * @p states entry, and returns the [n, vocab] logits of each
      * prompt's LAST position - the distribution the first generated
      * token is sampled from. States must be fresh (len == 0).
@@ -119,9 +119,9 @@ class CausalGenerator
     Tensor batchedForward(const std::vector<std::vector<int>> &seqs,
                           const std::vector<SequenceState *> *states);
 
-    /** Last-valid-row gather + LM head -> [n, vocab]. */
-    Tensor headLogits(const Tensor &x,
-                      const std::vector<std::size_t> &lens);
+    /** Each sequence's last packed row of @p x + LM head ->
+     *  [n, vocab]. */
+    Tensor headLogits(const Tensor &x, const nn::RowSet &rows);
 
     ModelConfig cfg_;
     nn::Embedding embedding_;

@@ -267,32 +267,30 @@ MultiHeadAttention::setSparse(const SparseAttentionConfig &sparse)
 Tensor
 MultiHeadAttention::forward(const Tensor &x)
 {
-    return forwardImpl(x, nullptr, nullptr);
+    if (x.rank() != 3 || x.dim(2) != d_model_)
+        throw std::invalid_argument("MultiHeadAttention: [b,t,d] required");
+    // A padding-free batch is its own packed form: sequence b starts at
+    // row b * t of the [b, t, d] tensor.
+    return forwardImpl(x, nn::RowSet(x.dim(0), x.dim(1)), nullptr, true);
 }
 
 Tensor
-MultiHeadAttention::forwardImpl(const Tensor &x, const nn::RowSet *rows,
-                                StepState *step)
+MultiHeadAttention::forwardImpl(const Tensor &x, const nn::RowSet &rows,
+                                StepState *step, bool train)
 {
-    if (x.rank() != 3 || x.dim(2) != d_model_)
-        throw std::invalid_argument("MultiHeadAttention: [b,t,d] required");
-    const std::size_t batch = x.dim(0);
-    const std::size_t t = x.dim(1);
+    const std::size_t batch = rows.batch();
+    const std::size_t t = rows.seq();
+    const std::size_t d = d_model_;
     const std::size_t dh = headDim();
     const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-    const bool ragged = rows != nullptr;
 
-    // The training forward fills the q_/k_/v_/attn_ caches; the ragged
-    // path is inference-only, so its projections live in locals (no
-    // peak-batch tensors retained between requests) and the softmax
-    // row normalises in thread scratch instead of materialising the
-    // O(b * heads * t^2) attn_ tensor.
+    // The training forward fills the q_/k_/v_/attn_ caches; inference
+    // keeps its projections in locals (no peak-batch tensors retained
+    // between requests) and normalises each softmax row in thread
+    // scratch instead of materialising the O(b * heads * t^2) attn_
+    // tensor.
     Tensor ql, kl, vl;
-    if (ragged) {
-        ql = proj_q_->forwardRows(x, *rows);
-        kl = proj_k_->forwardRows(x, *rows);
-        vl = proj_v_->forwardRows(x, *rows);
-    } else {
+    if (train) {
         b_ = batch;
         t_ = t;
         q_ = proj_q_->forward(x);
@@ -300,50 +298,54 @@ MultiHeadAttention::forwardImpl(const Tensor &x, const nn::RowSet *rows,
         v_ = proj_v_->forward(x);
         // attn_ rows: (b * heads + h) * t  + i  over keys j.
         attn_ = Tensor::zeros(batch, heads_ * t, t);
+    } else {
+        ql = proj_q_->forwardRows(x, rows);
+        kl = proj_k_->forwardRows(x, rows);
+        vl = proj_v_->forwardRows(x, rows);
     }
-    const Tensor &q = ragged ? ql : q_;
-    const Tensor &k = ragged ? kl : k_;
-    const Tensor &v = ragged ? vl : v_;
+    const Tensor &q = train ? q_ : ql;
+    const Tensor &k = train ? k_ : kl;
+    const Tensor &v = train ? v_ : vl;
 
-    // Cached calls append each sequence's valid projected K/V rows
-    // before attending, so the keys below include this call's own
-    // rows (the `visible = i + 1` of the causal full forward).
+    // Cached calls append each sequence's projected K/V rows before
+    // attending, so the keys below include this call's own rows (the
+    // `visible = i + 1` of the causal full forward).
     if (step) {
         for (std::size_t b = 0; b < batch; ++b) {
             KVCache &c = *step->caches[b];
-            const std::size_t n = rows->len(b) * d_model_;
-            const float *kr = rowPtr(k, b, 0);
-            const float *vr = rowPtr(v, b, 0);
+            const std::size_t n = rows.len(b) * d;
+            const float *kr = k.data() + rows.start(b) * d;
+            const float *vr = v.data() + rows.start(b) * d;
             c.k.insert(c.k.end(), kr, kr + n);
             c.v.insert(c.v.end(), vr, vr + n);
-            c.len += rows->len(b);
+            c.len += rows.len(b);
         }
     }
 
-    Tensor ctx = Tensor::zeros(batch, t, d_model_);
+    Tensor ctx(x.shape());
     const bool approx = !sparse_.dense();
 
     // One task per (batch, head): gather that head's K/V slices into
     // contiguous panels, then run its queries through attendBlock in
     // blocks of kQueryBlock rows. Each task writes disjoint attn_ rows
-    // and a disjoint ctx column slice, so the parallel loop is
-    // deterministic at any thread count.
+    // and a disjoint ctx slice, so the parallel loop is deterministic
+    // at any thread count.
     runtime::parallelFor(0, batch * heads_, 1, [&](std::size_t task0,
                                                    std::size_t task1) {
         for (std::size_t task = task0; task < task1; ++task) {
             const std::size_t b = task / heads_;
             const std::size_t h = task % heads_;
             const std::size_t off = h * dh;
-            // Padded query rows and keys are never gathered, so each
-            // real query row runs the exact op sequence of an unpadded
-            // run. The keys are the sequence's own valid rows, or its
-            // whole cache, in which this call's rows are the last
-            // `active` positions.
-            const std::size_t active = ragged ? rows->len(b) : t;
+            // A task reads its own sequence's rows only, so each query
+            // row runs the exact op sequence of an unpadded run. The
+            // keys are the sequence's own rows, or its whole cache, in
+            // which this call's rows are the last `active` positions.
+            const std::size_t active = rows.len(b);
+            const std::size_t row0 = rows.start(b);
             const KVCache *c = step ? step->caches[b] : nullptr;
             const std::size_t valid = c ? c->len : active;
-            const float *kb = c ? c->k.data() : rowPtr(k, b, 0);
-            const float *vb = c ? c->v.data() : rowPtr(v, b, 0);
+            const float *kb = c ? c->k.data() : k.data() + row0 * d;
+            const float *vb = c ? c->v.data() : v.data() + row0 * d;
             const std::size_t pos0 = valid - active;
             // qh/ch hold one query block at a time: gathered just
             // before attendBlock, scattered right after.
@@ -352,69 +354,66 @@ MultiHeadAttention::forwardImpl(const Tensor &x, const nn::RowSet *rows,
             // K is gathered transposed ([dh, valid]): the B operand of
             // the score GEMM.
             for (std::size_t j = 0; j < valid; ++j) {
-                std::memcpy(p.vh + j * dh, vb + j * d_model_ + off,
+                std::memcpy(p.vh + j * dh, vb + j * d + off,
                             dh * sizeof(float));
-                const float *krow = kb + j * d_model_ + off;
+                const float *krow = kb + j * d + off;
                 for (std::size_t cc = 0; cc < dh; ++cc)
                     p.kht[cc * valid + j] = krow[cc];
             }
 
             for (std::size_t i0 = 0; i0 < active; i0 += kQueryBlock) {
                 const std::size_t nrows = std::min(kQueryBlock, active - i0);
+                const std::size_t r0 = row0 + i0;
                 for (std::size_t r = 0; r < nrows; ++r)
-                    std::memcpy(p.qh + r * dh, rowPtr(q, b, i0 + r) + off,
+                    std::memcpy(p.qh + r * dh, q.data() + (r0 + r) * d + off,
                                 dh * sizeof(float));
-                float *ab = ragged ? nullptr
-                                   : attn_.data() +
-                                         (b * heads_ * t + h * t + i0) * t;
+                float *ab = train ? attn_.data() +
+                                        (b * heads_ * t + h * t + i0) * t
+                                  : nullptr;
                 attendBlock(p, sparse_, causal_, scale, pos0 + i0, nrows,
                             p.qh, p.ch, ab, t);
                 for (std::size_t r = 0; r < nrows; ++r)
-                    std::memcpy(rowPtr(ctx, b, i0 + r) + off, p.ch + r * dh,
-                                dh * sizeof(float));
+                    std::memcpy(ctx.data() + (r0 + r) * d + off,
+                                p.ch + r * dh, dh * sizeof(float));
             }
         }
     });
-    return ragged ? proj_o_->forwardRows(ctx, *rows)
-                  : proj_o_->forward(ctx);
+    return train ? proj_o_->forward(ctx) : proj_o_->forwardRows(ctx, rows);
 }
 
 Tensor
 MultiHeadAttention::forwardRows(const Tensor &x, const nn::RowSet &rows)
 {
-    if (rows.batch() != x.dim(0) || rows.seq() != x.dim(1))
-        throw std::invalid_argument(
-            "MultiHeadAttention::forwardRows: RowSet shape mismatch");
-    return forwardImpl(x, &rows, nullptr);
+    checkPackedRows(x, rows, d_model_, "MultiHeadAttention::forwardRows");
+    return forwardImpl(x, rows, nullptr, false);
 }
 
 Tensor
 MultiHeadAttention::forwardPrefill(const Tensor &x, const nn::RowSet &rows,
                                    StepState &step)
 {
-    if (rows.batch() != x.dim(0) || rows.seq() != x.dim(1))
-        throw std::invalid_argument(
-            "MultiHeadAttention::forwardPrefill: RowSet shape mismatch");
+    checkPackedRows(x, rows, d_model_,
+                    "MultiHeadAttention::forwardPrefill");
     if (!causal_)
         throw std::logic_error(
             "MultiHeadAttention::forwardPrefill: causal attention "
             "required (the cached prefix must be the visible set)");
-    if (step.caches.size() != x.dim(0))
+    if (step.caches.size() != rows.batch())
         throw std::invalid_argument(
             "MultiHeadAttention::forwardPrefill: cache count != batch");
     for (const KVCache *c : step.caches)
         if (c->len != 0)
             throw std::logic_error(
                 "MultiHeadAttention::forwardPrefill: cache not empty");
-    return forwardImpl(x, &rows, &step);
+    return forwardImpl(x, rows, &step, false);
 }
 
 Tensor
 MultiHeadAttention::forwardStep(const Tensor &x, StepState &step)
 {
-    if (x.rank() != 3 || x.dim(1) != 1 || x.dim(2) != d_model_)
+    if (x.rank() != 2 || x.dim(1) != d_model_)
         throw std::invalid_argument(
-            "MultiHeadAttention::forwardStep: [n, 1, d] step required");
+            "MultiHeadAttention::forwardStep: [n, d] step required");
     if (!causal_)
         throw std::logic_error(
             "MultiHeadAttention::forwardStep: causal attention required "
@@ -426,8 +425,7 @@ MultiHeadAttention::forwardStep(const Tensor &x, StepState &step)
     // to its cache and the row attends as query L - 1 over the L
     // cached keys - a one-row block of the same attendBlock, whose
     // per-output chains do not depend on the block's row count.
-    const nn::RowSet rows(x.dim(0), 1);
-    return forwardImpl(x, &rows, &step);
+    return forwardImpl(x, nn::RowSet(x.dim(0), 1), &step, false);
 }
 
 Tensor

@@ -66,21 +66,23 @@ class MultiHeadAttention : public Layer
     Tensor forward(const Tensor &x) override;
 
     /**
-     * Ragged inference forward (nn/layer.h): the Q/K/V/output
-     * projections run through their own forwardRows (skipping padded
-     * rows), and each (sequence, head) task attends its real query rows
-     * over its real keys only, so every valid row performs exactly the
-     * floating-point ops of an unpadded length-rows.len(b) forward -
-     * bitwise identical at any thread count. The softmax-scores cache
-     * (attn_, O(batch * heads * seq^2)) is not materialised.
+     * Inference forward over packed rows (nn/layer.h): the Q/K/V/output
+     * projections run through their own forwardRows, and each
+     * (sequence, head) task attends the sequence's rows
+     * [rows.start(b), rows.start(b) + rows.len(b)) over those rows'
+     * keys only, so every row performs exactly the floating-point ops
+     * of an unpadded length-rows.len(b) forward - bitwise identical at
+     * any thread count. The softmax-scores cache (attn_,
+     * O(batch * heads * seq^2)) is not materialised. Throws
+     * std::invalid_argument unless @p x is [rows.totalRows(), d].
      * Inference-only.
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
     /**
      * One incremental decode step over per-sequence K/V prefix caches
-     * (nn/decode.h): the ragged body over the one-row RowSet of the
-     * [n_live, 1, d] step tensor. Each step row's K/V projections are
+     * (nn/decode.h): the packed body over RowSet(n_live, 1) of the
+     * [n_live, d] step tensor. Each step row's K/V projections are
      * APPENDED to its sequence's cache, then the row attends over the
      * whole cached prefix - bitwise identical to a full causal
      * recompute of that position, at any thread count and any
@@ -92,9 +94,9 @@ class MultiHeadAttention : public Layer
     /**
      * Ragged prompt prefill: the same body with empty caches in
      * @p step - each sequence's rows.len(b) projected K/V rows are
-     * appended, then its rows attend over them. Same bits as
-     * forwardRows(x, rows). Requires causal attention and empty
-     * caches. Inference-only.
+     * appended, then its rows attend over them. Same bits and same
+     * packed input as forwardRows(x, rows). Requires causal attention
+     * and empty caches. Inference-only.
      */
     Tensor forwardPrefill(const Tensor &x, const RowSet &rows,
                           StepState &step) override;
@@ -139,17 +141,19 @@ class MultiHeadAttention : public Layer
 
   private:
     /**
-     * Shared body of every forward entry point. Null @p rows is the
-     * training forward: full-length, fills the q_/k_/v_/attn_ caches.
-     * Otherwise ragged inference (skip padded rows, projections via
-     * forwardRows, no training caches); with @p step, each sequence's
-     * valid K/V rows are appended to its cache first and its rows then
-     * attend over the whole cache, at positions cache.len - rows.len(b)
-     * onward. One copy of the scores/softmax/context pipeline keeps
-     * the entry points bitwise-synchronised by construction.
+     * Shared body of every forward entry point over the rows of @p x,
+     * sequence b at rows [rows.start(b), rows.start(b) + rows.len(b)).
+     * @p train is the training forward: a padding-free [b, t, d]
+     * batch, projections via forward(), q_/k_/v_/attn_ caches filled.
+     * Otherwise packed inference (projections via forwardRows, no
+     * training caches); with @p step, each sequence's K/V rows are
+     * appended to its cache first and its rows then attend over the
+     * whole cache, at positions cache.len - rows.len(b) onward. One
+     * copy of the scores/softmax/context pipeline keeps the entry
+     * points bitwise-synchronised by construction.
      */
-    Tensor forwardImpl(const Tensor &x, const RowSet *rows,
-                       StepState *step);
+    Tensor forwardImpl(const Tensor &x, const RowSet &rows,
+                       StepState *step, bool train);
 
     std::size_t d_model_, heads_;
     bool causal_ = false;

@@ -18,24 +18,25 @@ LayerNorm::LayerNorm(std::size_t dim, float eps)
 
 template <bool kCache>
 Tensor
-LayerNorm::normRows(const Tensor &x, const RowSet &rows)
+LayerNorm::normRows(const Tensor &x)
 {
     if (x.shape().back() != dim_)
         throw std::invalid_argument("LayerNorm: dim mismatch");
-    Tensor y(x.shape()); // zero-init: padded rows stay 0
+    const std::size_t n = x.size() / dim_;
+    Tensor y(x.shape());
     if constexpr (kCache) {
-        // Every row is valid here and overwrites its cache entries, so
-        // the caches are reused across calls of one shape.
+        // Every row overwrites its cache entries, so the caches are
+        // reused across calls of one shape.
         if (cached_xhat_.shape() != x.shape())
             cached_xhat_ = Tensor(x.shape());
-        inv_std_.resize(rows.totalRows());
+        inv_std_.resize(n);
     }
     const float *px = x.data();
     float *py = y.data();
     float *pxh = cached_xhat_.data();
-    // Rows are independent, so the span sweep parallelises; each row's
+    // Rows are independent, so the sweep parallelises; each row's
     // mean/var/affine sweep keeps one fixed j-order chain.
-    forEachRowSpan(rows, 16, [&](std::size_t r0, std::size_t r1) {
+    runtime::parallelFor(0, n, 16, [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
             const float *xr = px + r * dim_;
             float mean = 0.0f;
@@ -65,13 +66,13 @@ LayerNorm::normRows(const Tensor &x, const RowSet &rows)
 Tensor
 LayerNorm::forward(const Tensor &x)
 {
-    return normRows<true>(x, allRows(x));
+    return normRows<true>(x);
 }
 
 Tensor
-LayerNorm::forwardRows(const Tensor &x, const RowSet &rows)
+LayerNorm::forwardRows(const Tensor &x, const RowSet &)
 {
-    return normRows<false>(x, rows);
+    return normRows<false>(x);
 }
 
 Tensor
@@ -169,43 +170,6 @@ LayerNorm::collectParams(std::vector<ParamRef> &out)
 }
 
 Tensor
-Relu::forward(const Tensor &x)
-{
-    cached_input_ = x;
-    return Relu::forwardRows(x, allRows(x));
-}
-
-Tensor
-Relu::forwardRows(const Tensor &x, const RowSet &rows)
-{
-    const std::size_t d = x.shape().back();
-    Tensor y(x.shape()); // zero-init: padded rows stay 0
-    const float *px = x.data();
-    float *py = y.data();
-    forEachRowSpan(rows, 64, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t i = r0 * d; i < r1 * d; ++i)
-            py[i] = std::max(px[i], 0.0f);
-    });
-    return y;
-}
-
-Tensor
-Relu::backward(const Tensor &grad_out)
-{
-    Tensor gx = grad_out;
-    const float *px = cached_input_.data();
-    float *pg = gx.data();
-    // Elementwise, no cross-element reduction: chunked parallelism is
-    // trivially bitwise identical to the serial loop.
-    runtime::parallelFor(0, gx.size(), 1 << 14,
-                         [&](std::size_t i0, std::size_t i1) {
-                             for (std::size_t i = i0; i < i1; ++i)
-                                 pg[i] = px[i] > 0.0f ? pg[i] : 0.0f;
-                         });
-    return gx;
-}
-
-Tensor
 Gelu::forward(const Tensor &x)
 {
     cached_input_ = x;
@@ -213,13 +177,14 @@ Gelu::forward(const Tensor &x)
 }
 
 Tensor
-Gelu::forwardRows(const Tensor &x, const RowSet &rows)
+Gelu::forwardRows(const Tensor &x, const RowSet &)
 {
     const std::size_t d = x.shape().back();
-    Tensor y(x.shape()); // zero-init: padded rows stay 0
+    Tensor y(x.shape());
     const float *px = x.data();
     float *py = y.data();
-    forEachRowSpan(rows, 16, [&](std::size_t r0, std::size_t r1) {
+    runtime::parallelFor(0, x.size() / d, 16,
+                         [&](std::size_t r0, std::size_t r1) {
         runtime::geluRow(px + r0 * d, py + r0 * d, (r1 - r0) * d);
     });
     return y;
@@ -231,7 +196,8 @@ Gelu::backward(const Tensor &grad_out)
     Tensor gx = grad_out;
     const float *px = cached_input_.data();
     float *pg = gx.data();
-    // Elementwise (see Relu::backward).
+    // Elementwise, no cross-element reduction: chunked parallelism is
+    // trivially bitwise identical to the serial loop.
     runtime::parallelFor(0, gx.size(), 1 << 13,
                          [&](std::size_t i0, std::size_t i1) {
                              for (std::size_t i = i0; i < i1; ++i)
@@ -240,10 +206,28 @@ Gelu::backward(const Tensor &grad_out)
     return gx;
 }
 
+FourierMix::FourierMix(std::size_t d_model) : d_(d_model)
+{
+    if (!isPowerOfTwo(d_))
+        throw std::invalid_argument(
+            "FourierMix: hidden size must be a power of two");
+}
+
 Tensor
 FourierMix::forward(const Tensor &x)
 {
     return fourierMix2D(x);
+}
+
+Tensor
+FourierMix::forwardRows(const Tensor &x, const RowSet &rows)
+{
+    checkPackedRows(x, rows, d_, "FourierMix::forwardRows");
+    if (rows.totalRows() != rows.batch() * rows.seq())
+        throw std::invalid_argument(
+            "FourierMix::forwardRows: the padding-free set required");
+    return fourierMix2D(x.reshaped({rows.batch(), rows.seq(), d_}))
+        .reshaped(x.shape());
 }
 
 Tensor

@@ -1,6 +1,7 @@
 /**
  * @file basic_layers.h
- * LayerNorm, activations and the FNet-style 2-D Fourier mixing layer.
+ * LayerNorm, the GELU activation and the FNet-style 2-D Fourier
+ * mixing layer.
  */
 #ifndef FABNET_NN_BASIC_LAYERS_H
 #define FABNET_NN_BASIC_LAYERS_H
@@ -23,9 +24,9 @@ class LayerNorm : public Layer
     Tensor forward(const Tensor &x) override;
 
     /**
-     * Ragged inference forward: the normRows body over the valid row
-     * spans only, without the training caches. Valid rows bitwise
-     * equal forward(); padded rows are zero.
+     * Inference forward: the normRows body over every row of @p x,
+     * without the training caches (@p rows is not read). Rows bitwise
+     * equal forward().
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
@@ -45,13 +46,12 @@ class LayerNorm : public Layer
 
   private:
     /**
-     * The one row body: normalises the rows of @p rows in parallel
+     * The one row body: normalises every row of @p x in parallel
      * (rows are independent and each row's mean/var/affine sweep has
-     * one fixed j-order). kCache also writes the xhat/inv-std caches
-     * (then @p rows must be padding-free).
+     * one fixed j-order). kCache also writes the xhat/inv-std caches.
      */
     template <bool kCache>
-    Tensor normRows(const Tensor &x, const RowSet &rows);
+    Tensor normRows(const Tensor &x);
 
     std::size_t dim_;
     float eps_;
@@ -61,23 +61,6 @@ class LayerNorm : public Layer
     std::vector<float> inv_std_;  // per-row 1/sigma
 };
 
-/** ReLU activation. */
-class Relu : public Layer
-{
-  public:
-    /** Caches the input and runs forwardRows over every row. */
-    Tensor forward(const Tensor &x) override;
-
-    /** Ragged forward: elementwise over valid row spans only, no
-     *  input cache. Valid rows bitwise equal forward(); padded 0. */
-    Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
-
-    Tensor backward(const Tensor &grad_out) override;
-
-  private:
-    Tensor cached_input_;
-};
-
 /** GELU activation (tanh approximation, runtime::geluRow). */
 class Gelu : public Layer
 {
@@ -85,9 +68,9 @@ class Gelu : public Layer
     /** Caches the input and runs forwardRows over every row. */
     Tensor forward(const Tensor &x) override;
 
-    /** Ragged forward: the GELU row kernel runs on valid row spans
-     *  only, no input cache. Valid rows bitwise equal forward();
-     *  padded rows are zero. */
+    /** Inference forward: the GELU row kernel over every row of @p x,
+     *  no input cache (@p rows is not read). Rows bitwise equal
+     *  forward(). */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
     Tensor backward(const Tensor &grad_out) override;
@@ -104,14 +87,34 @@ class Gelu : public Layer
 class FourierMix : public Layer
 {
   public:
+    /**
+     * @param d_model hidden size. fourierMix2D transforms power-of-two
+     * widths only, so any other width throws std::invalid_argument
+     * here - a model that could never run a request is refused when
+     * it is built, not when it is served.
+     */
+    explicit FourierMix(std::size_t d_model);
+
     Tensor forward(const Tensor &x) override;
+
+    /**
+     * Inference forward over the padding-free set only: the packed
+     * rows are viewed as [rows.batch(), rows.seq(), d] and mixed as in
+     * forward(). Throws std::invalid_argument when @p x is not the
+     * packed rows of @p rows or when @p rows has padding.
+     */
+    Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
+
     Tensor backward(const Tensor &grad_out) override;
 
-    /** The sequence-dim FFT is global: no masked form exists. */
+    /** The sequence-dim FFT is global: no per-sequence form exists. */
     bool supportsMasking() const override { return false; }
 
     /** fourierMix2D runs power-of-two lengths only. */
     bool runsLength(std::size_t seq) const override;
+
+  private:
+    std::size_t d_;
 };
 
 } // namespace nn

@@ -7,16 +7,16 @@ namespace nn {
 
 namespace {
 
-/** The residual shortcut a += b over the rows of @p rows: the
- *  padding-free set in training, the ragged set in inference (both
- *  operands' padded rows are zero there, so they stay zero). */
+/** The residual shortcut a += b over every row (training batch or
+ *  packed inference rows alike). */
 void
-addResidualRows(Tensor &a, const Tensor &b, const RowSet &rows)
+addResidualRows(Tensor &a, const Tensor &b)
 {
     const std::size_t d = a.shape().back();
     float *pa = a.data();
     const float *pb = b.data();
-    forEachRowSpan(rows, 64, [&](std::size_t r0, std::size_t r1) {
+    runtime::parallelFor(0, a.size() / d, 64,
+                         [&](std::size_t r0, std::size_t r1) {
         for (std::size_t i = r0 * d; i < r1 * d; ++i)
             pa[i] += pb[i];
     });
@@ -84,26 +84,24 @@ EncoderBlock::EncoderBlock(std::size_t d_model,
 Tensor
 EncoderBlock::forward(const Tensor &x)
 {
-    const RowSet rows = allRows(x);
     Tensor a = mixer_->forward(x);
-    addResidualRows(a, x, rows); // shortcut
+    addResidualRows(a, x); // shortcut
     Tensor h = ln1_.forward(a);
 
     Tensor f = ffn_->forward(h);
-    addResidualRows(f, h, rows); // shortcut
+    addResidualRows(f, h); // shortcut
     return ln2_.forward(f);
 }
 
 Tensor
 EncoderBlock::afterMixer(Tensor a, const Tensor &x, const RowSet &rows)
 {
-    // The ragged chain: every stage skips padded rows, which stay zero
-    // after every stage.
-    addResidualRows(a, x, rows); // shortcut
+    // Every stage after the mixer is row-wise over the packed rows.
+    addResidualRows(a, x); // shortcut
     Tensor h = ln1_.forwardRows(a, rows);
 
     Tensor f = ffn_->forwardRows(h, rows);
-    addResidualRows(f, h, rows); // shortcut
+    addResidualRows(f, h); // shortcut
     return ln2_.forwardRows(f, rows);
 }
 
@@ -116,10 +114,10 @@ EncoderBlock::forwardRows(const Tensor &x, const RowSet &rows)
 Tensor
 EncoderBlock::forwardStep(const Tensor &x, StepState &step)
 {
-    // The row-wise stages see the one-row RowSet: same per-row ops as
-    // the full causal forwardRows.
+    // The row-wise stages see the one-row RowSet of the [n, d] step:
+    // same per-row ops as the full causal forwardRows.
     return afterMixer(mixer_->forwardStep(x, step), x,
-                      RowSet(x.dim(0), x.dim(1)));
+                      RowSet(x.dim(0), 1));
 }
 
 Tensor
@@ -132,28 +130,26 @@ EncoderBlock::forwardPrefill(const Tensor &x, const RowSet &rows,
 Tensor
 EncoderBlock::backward(const Tensor &grad_out)
 {
-    const RowSet rows = allRows(grad_out);
     Tensor g_hf = ln2_.backward(grad_out); // grad wrt (h + f)
     Tensor g_h = ffn_->backward(g_hf);
-    addResidualRows(g_h, g_hf, rows); // residual path
+    addResidualRows(g_h, g_hf); // residual path
 
     Tensor g_xa = ln1_.backward(g_h); // grad wrt (x + a)
     Tensor g_x = mixer_->backward(g_xa);
-    addResidualRows(g_x, g_xa, rows); // residual path
+    addResidualRows(g_x, g_xa); // residual path
     return g_x;
 }
 
 Tensor
 EncoderBlock::backwardReference(const Tensor &grad_out)
 {
-    const RowSet rows = allRows(grad_out);
     Tensor g_hf = ln2_.backwardReference(grad_out);
     Tensor g_h = ffn_->backwardReference(g_hf);
-    addResidualRows(g_h, g_hf, rows);
+    addResidualRows(g_h, g_hf);
 
     Tensor g_xa = ln1_.backwardReference(g_h);
     Tensor g_x = mixer_->backwardReference(g_xa);
-    addResidualRows(g_x, g_xa, rows);
+    addResidualRows(g_x, g_xa);
     return g_x;
 }
 

@@ -31,8 +31,8 @@ class FeedForward : public Layer
 
     Tensor forward(const Tensor &x) override;
 
-    /** Ragged forward: chains the children's forwardRows paths, so
-     *  both linears and the activation skip padded rows. */
+    /** Inference forward: chains the children's forwardRows paths
+     *  over the packed rows. */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
     Tensor backward(const Tensor &grad_out) override;
@@ -63,19 +63,19 @@ class EncoderBlock : public Layer
     Tensor forward(const Tensor &x) override;
 
     /**
-     * Ragged inference forward: every stage - the mixer, both residual
-     * adds, both layer norms and the FFN - iterates the valid rows
-     * only, leaving padded rows zero end to end. Valid rows are
-     * bitwise identical to each sequence's unpadded forward().
+     * Inference forward over packed rows (nn/layer.h): the mixer reads
+     * the sequence boundaries in @p rows; both residual adds, both
+     * layer norms and the FFN run row-wise over every row. Each
+     * sequence's rows are bitwise identical to its unpadded forward().
      * Inference-only.
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
     /**
-     * One decode step: the forwardRows chain over the [n, 1, d] step
-     * rows, with the mixer taking its forwardStep path (K/V-cached
-     * attention). Bitwise identical to the last valid row of a full
-     * causal forwardRows, per nn/decode.h. Inference-only.
+     * One decode step: the forwardRows chain over the [n, d] step
+     * rows (RowSet(n, 1)), with the mixer taking its forwardStep path
+     * (K/V-cached attention). Bitwise identical to the last valid row
+     * of a full causal forwardRows, per nn/decode.h. Inference-only.
      */
     Tensor forwardStep(const Tensor &x, StepState &step) override;
 

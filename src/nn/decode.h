@@ -3,8 +3,9 @@
  * Per-sequence incremental decode state for autoregressive generation.
  *
  * A decode step is literally a ragged batch of "one new row per live
- * sequence": the step tensor is [n_live, 1, d] and every layer runs
- * its ordinary forwardRows path over the one-row RowSet. Only
+ * sequence": the step tensor is [n_live, d], the packed form of
+ * RowSet(n_live, 1), and every layer runs its ordinary forwardRows
+ * path over it. Only
  * attention mixes across the sequence, and what it needs from the past
  * is exactly its K/V projections of the previous positions - so each
  * live sequence carries one KVCache per attention layer, appended one

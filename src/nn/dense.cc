@@ -19,67 +19,6 @@ namespace {
  *  dL/dW. */
 struct DenseBwdWs;
 
-/** Workspace tag for the butterfly layers' packed-gather buffers. */
-struct BflyPackWs;
-
-/**
- * Packed-gather ragged apply for the butterfly linears (shared by the
- * fp32 and quantized layers): gather the valid rows into a contiguous
- * buffer, run the stage-major kernel over full 16-row blocks, scatter
- * back. Spans of a ragged batch are at most one sequence long (4-32
- * rows on serving traffic); run in place, each span would end in its
- * own zero-padded 16-lane block, paying for lanes that hold no row.
- * The O(rows*(in+out)) copies are cheap next to the O(rows*n*log n)
- * butterfly arithmetic, so packing (at most one padded block per
- * kernel call) benches faster than in-place spans here - the opposite
- * trade from the GEMM layers, whose 4-row tiles barely fragment (see
- * docs/ARCHITECTURE.md "Ragged batch execution"). Bitwise identity is
- * unaffected: the kernel is row-independent, so block composition
- * never changes a row's bits.
- *
- * @p apply_rows runs op.applyToRows-style over the packed buffer.
- */
-template <class ApplyRows>
-void
-packedGatherApply(const Tensor &x, Tensor &y, const nn::RowSet &rows,
-                  std::size_t in_f, std::size_t out_f,
-                  const ApplyRows &apply_rows)
-{
-    const float *px = x.data();
-    float *py = y.data();
-    const std::size_t total = rows.totalRows();
-    if (!rows.hasPadding()) {
-        // Dense batch: the packed space IS the row space.
-        runtime::parallelFor(0, total, 16,
-                             [&](std::size_t r0, std::size_t r1) {
-                                 apply_rows(px + r0 * in_f,
-                                            py + r0 * out_f, r1 - r0);
-                             });
-        return;
-    }
-    float *buf =
-        runtime::threadWorkspace<BflyPackWs>(total * (in_f + out_f));
-    float *pin = buf;
-    float *pout = buf + total * in_f;
-    nn::forEachRowSpanPacked(
-        rows, 64,
-        [&](std::size_t r0, std::size_t r1, std::size_t p0) {
-            std::memcpy(pin + p0 * in_f, px + r0 * in_f,
-                        (r1 - r0) * in_f * sizeof(float));
-        });
-    runtime::parallelFor(0, total, 16,
-                         [&](std::size_t r0, std::size_t r1) {
-                             apply_rows(pin + r0 * in_f,
-                                        pout + r0 * out_f, r1 - r0);
-                         });
-    nn::forEachRowSpanPacked(
-        rows, 64,
-        [&](std::size_t r0, std::size_t r1, std::size_t p0) {
-            std::memcpy(py + r0 * out_f, pout + p0 * out_f,
-                        (r1 - r0) * out_f * sizeof(float));
-        });
-}
-
 /** Workspace tags for QuantizedDense's per-call activation scratch. */
 struct QDenseAqWs;    ///< int8 activations
 struct QDenseScaleWs; ///< per-row activation scales
@@ -90,6 +29,27 @@ std::size_t
 rowCount(const Tensor &x)
 {
     return x.size() / x.shape().back();
+}
+
+/**
+ * The inference body of both butterfly linears: @p op's stage-major
+ * kernel over every row of @p x into @p y, in chunks of
+ * runtime::kBflyBlockRows rows (one full 16-lane block each, as in
+ * ButterflyDense::forward). The kernel is row-independent, so which
+ * rows - of one sequence or of two - share a block never changes a
+ * row's bits.
+ */
+template <class Op>
+void
+applyRowBlocks(const Tensor &x, Tensor &y, const Op &op)
+{
+    const float *px = x.data();
+    float *py = y.data();
+    runtime::parallelFor(0, rowCount(x), runtime::kBflyBlockRows,
+                         [&](std::size_t r0, std::size_t r1) {
+        op.applyToRows(px + r0 * op.inFeatures(),
+                       py + r0 * op.outFeatures(), r1 - r0);
+    });
 }
 
 } // namespace
@@ -116,7 +76,7 @@ Dense::forward(const Tensor &x)
 }
 
 Tensor
-Dense::forwardRows(const Tensor &x, const nn::RowSet &rows)
+Dense::forwardRows(const Tensor &x, const nn::RowSet &)
 {
     if (x.shape().back() != in_)
         throw std::invalid_argument(
@@ -124,17 +84,17 @@ Dense::forwardRows(const Tensor &x, const nn::RowSet &rows)
 
     std::vector<std::size_t> out_shape = x.shape();
     out_shape.back() = out_;
-    Tensor y(out_shape); // zero-init: padded rows stay 0
+    Tensor y(out_shape);
 
     // y = x W^T + b: w_ already holds W^T [in, out], the GEMM's B
-    // operand, so the panel runs straight off it over the valid row
-    // spans with the bias folded into the accumulator init. Each
-    // output is one chain - bias, then i-ascending madd - so a row's
-    // bits depend neither on the spans nor on the row count.
+    // operand, so the panel runs straight off it over the rows with
+    // the bias folded into the accumulator init. Each output is one
+    // chain - bias, then i-ascending madd - so a row's bits depend
+    // neither on the chunks nor on which rows share its tile.
     const float *px = x.data();
     float *py = y.data();
-    nn::forEachRowSpan(rows, runtime::kGemmRowGrain,
-                       [&](std::size_t r0, std::size_t r1) {
+    runtime::parallelFor(0, rowCount(x), runtime::kGemmRowGrain,
+                         [&](std::size_t r0, std::size_t r1) {
         runtime::gemmRowsIKJ(px, w_.data(), py, r0, r1, in_, out_,
                              b_.data());
     });
@@ -303,29 +263,27 @@ QuantizedDense::forward(const Tensor &x)
 }
 
 Tensor
-QuantizedDense::forwardRows(const Tensor &x, const nn::RowSet &rows)
+QuantizedDense::forwardRows(const Tensor &x, const nn::RowSet &)
 {
     if (x.shape().back() != in_)
         throw std::invalid_argument(
             "QuantizedDense::forwardRows: feature mismatch");
-    const std::size_t padded_rows = rowCount(x);
+    const std::size_t n = rowCount(x);
 
     std::vector<std::size_t> out_shape = x.shape();
     out_shape.back() = out_;
-    Tensor y(out_shape); // zero-init: padded rows stay 0
+    Tensor y(out_shape);
     const float *px = x.data();
     float *py = y.data();
 
     if (kind_ == QuantKind::Fp16) {
-        // Round only the valid rows through binary16 (elementwise, so
-        // per-span rounding equals the full-buffer pass bit for bit);
-        // padded scratch rows are never read by the span GEMM.
-        float *ah =
-            runtime::threadWorkspace<QDenseAhWs>(padded_rows * in_);
+        // Round each chunk's rows through binary16 (elementwise, so
+        // per-chunk rounding equals the full-buffer pass bit for bit).
+        float *ah = runtime::threadWorkspace<QDenseAhWs>(n * in_);
         const float *wt = wt_h_.data();
         const float *pb = bias_h_.data();
-        nn::forEachRowSpan(rows, runtime::kGemmRowGrain,
-                           [&](std::size_t r0, std::size_t r1) {
+        runtime::parallelFor(0, n, runtime::kGemmRowGrain,
+                             [&](std::size_t r0, std::size_t r1) {
             std::memcpy(ah + r0 * in_, px + r0 * in_,
                         (r1 - r0) * in_ * sizeof(float));
             runtime::roundRowToHalf(ah + r0 * in_, (r1 - r0) * in_);
@@ -334,16 +292,16 @@ QuantizedDense::forwardRows(const Tensor &x, const nn::RowSet &rows)
         return y;
     }
 
-    std::int8_t *aq = runtime::threadWorkspaceAs<QDenseAqWs, std::int8_t>(
-        padded_rows * in_);
-    float *sa = runtime::threadWorkspace<QDenseScaleWs>(padded_rows);
+    std::int8_t *aq =
+        runtime::threadWorkspaceAs<QDenseAqWs, std::int8_t>(n * in_);
+    float *sa = runtime::threadWorkspace<QDenseScaleWs>(n);
     const std::int16_t *bp = bp_.data();
     const float *sb = wscale_.data();
     const float *pb = bias_.data();
     // Activation quantisation is per row (dynamic scale), so fusing it
-    // with the GEMM sweep over the same spans is exact.
-    nn::forEachRowSpan(rows, runtime::kGemmRowGrain,
-                       [&](std::size_t r0, std::size_t r1) {
+    // with the GEMM sweep over the same chunks is exact.
+    runtime::parallelFor(0, n, runtime::kGemmRowGrain,
+                         [&](std::size_t r0, std::size_t r1) {
         for (std::size_t r = r0; r < r1; ++r) {
             const float *row = px + r * in_;
             sa[r] = runtime::int8Scale(runtime::maxAbsRow(row, in_));
@@ -408,22 +366,18 @@ ButterflyDense::forward(const Tensor &x)
 }
 
 Tensor
-ButterflyDense::forwardRows(const Tensor &x, const nn::RowSet &rows)
+ButterflyDense::forwardRows(const Tensor &x, const nn::RowSet &)
 {
     if (x.shape().back() != op_.inFeatures())
         throw std::invalid_argument(
             "ButterflyDense::forwardRows: feature mismatch");
     std::vector<std::size_t> out_shape = x.shape();
     out_shape.back() = op_.outFeatures();
-    Tensor y(out_shape); // zero-init: padded rows stay 0
+    Tensor y(out_shape);
 
-    // Inference-only: no activation caches (forward() fills
-    // rows * cacheSize() floats per call for backward()).
-    packedGatherApply(x, y, rows, op_.inFeatures(), op_.outFeatures(),
-                      [&](const float *in, float *out,
-                          std::size_t n) {
-                          op_.applyToRows(in, out, n);
-                      });
+    // forward()'s kernel over the same row blocks, without the
+    // activation caches (rows * cacheSize() floats per call).
+    applyRowBlocks(x, y, op_);
     return y;
 }
 
@@ -495,21 +449,15 @@ QuantizedButterflyDense::forward(const Tensor &x)
 }
 
 Tensor
-QuantizedButterflyDense::forwardRows(const Tensor &x,
-                                     const nn::RowSet &rows)
+QuantizedButterflyDense::forwardRows(const Tensor &x, const nn::RowSet &)
 {
     if (x.shape().back() != op_.inFeatures())
         throw std::invalid_argument(
             "QuantizedButterflyDense::forwardRows: feature mismatch");
     std::vector<std::size_t> out_shape = x.shape();
     out_shape.back() = op_.outFeatures();
-    Tensor y(out_shape); // zero-init: padded rows stay 0
-
-    packedGatherApply(x, y, rows, op_.inFeatures(), op_.outFeatures(),
-                      [&](const float *in, float *out,
-                          std::size_t n) {
-                          op_.applyToRows(in, out, n);
-                      });
+    Tensor y(out_shape);
+    applyRowBlocks(x, y, op_);
     return y;
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file dense.h
  * Dense (fully-connected) layer and its butterfly-factorised drop-in
- * replacement. Both map the last dimension of a [b, t, in] tensor to
- * [b, t, out]; which one a model uses is exactly the algorithmic knob
- * the paper turns (vanilla Transformer vs FABNet).
+ * replacement. Both map the last dimension of any row tensor - a
+ * [b, t, in] training batch or packed [rows, in] inference rows - to
+ * out; which one a model uses is exactly the algorithmic knob the
+ * paper turns (vanilla Transformer vs FABNet).
  */
 #ifndef FABNET_NN_DENSE_H
 #define FABNET_NN_DENSE_H
@@ -35,13 +36,11 @@ class Dense : public Layer
     Tensor forward(const Tensor &x) override;
 
     /**
-     * The one forward body: one GEMM call per valid row span, straight
-     * off the stored [in, out] weight with the bias folded in
-     * (right-padding keeps each sequence's rows contiguous, so no
-     * gather/scatter is needed; see docs/ARCHITECTURE.md for why
-     * in-place spans beat packing here). Each output is the chain
-     * bias, then i-ascending madd, at any row count. Padded rows are
-     * zero.
+     * The one forward body: one parallel GEMM sweep over every row of
+     * @p x (row-wise, so @p rows is not read), straight off the stored
+     * [in, out] weight with the bias folded in. Each output is the
+     * chain bias, then i-ascending madd, at any row count and whatever
+     * rows share its 4-row tile.
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
@@ -97,13 +96,10 @@ class ButterflyDense : public Layer
     Tensor forward(const Tensor &x) override;
 
     /**
-     * Ragged inference forward: packed-gather execution - valid rows
-     * are gathered contiguous, run through the same stage-major
-     * kernel (ButterflyLinear::applyToRows) in full vector blocks,
-     * and scattered back (see packedGatherApply in dense.cc for the
-     * bench-backed rationale vs in-place spans), without the
-     * activation caches. Valid rows bitwise equal forward(); padded
-     * rows are zero.
+     * Inference forward: the same stage-major kernel
+     * (ButterflyLinear::applyToRows) over every row of @p x in
+     * 16-row blocks, without the activation caches. Rows bitwise
+     * equal forward(); @p rows is not read.
      */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
@@ -167,9 +163,9 @@ class QuantizedDense : public Layer
      *  one-row sequence). */
     Tensor forward(const Tensor &x) override;
 
-    /** Ragged forward: per-row activation quantisation (int8) /
-     *  binary16 rounding (fp16) and the GEMM panel run over valid row
-     *  spans only; padded rows 0. */
+    /** Inference forward: per-row activation quantisation (int8) /
+     *  binary16 rounding (fp16) and the GEMM panel, one parallel
+     *  sweep over every row of @p x (@p rows is not read). */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
     Tensor backward(const Tensor &grad_out) override;
@@ -204,9 +200,9 @@ class QuantizedButterflyDense : public Layer
      *  one-row sequence). */
     Tensor forward(const Tensor &x) override;
 
-    /** Ragged forward: packed-gather into the stage-major quantized
-     *  kernel (QuantizedButterflyLinear::applyToRows, same scheme as
-     *  ButterflyDense::forwardRows); padded rows zero. */
+    /** Inference forward: the stage-major quantized kernel
+     *  (QuantizedButterflyLinear::applyToRows) over every row of @p x
+     *  in 16-row blocks, as ButterflyDense::forwardRows does. */
     Tensor forwardRows(const Tensor &x, const RowSet &rows) override;
 
     Tensor backward(const Tensor &grad_out) override;

@@ -36,7 +36,10 @@ Tensor
 Embedding::forward(const std::vector<int> &tokens, std::size_t batch,
                    std::size_t seq)
 {
-    Tensor y = forwardRows(tokens, nn::RowSet(batch, seq));
+    // The padding-free set packs to [batch * seq, d]: the same rows as
+    // the [batch, seq, d] training batch.
+    Tensor y = forwardRows(tokens, nn::RowSet(batch, seq))
+                   .reshaped({batch, seq, d_});
     cached_tokens_ = tokens;
     b_ = batch;
     t_ = seq;
@@ -61,11 +64,14 @@ Embedding::forwardRows(const std::vector<int> &tokens,
         if (id < 0 || static_cast<std::size_t>(id) >= vocab_)
             throw std::out_of_range("Embedding: token id out of range");
 
-    Tensor y = Tensor::zeros(batch, seq, d_);
+    // Pack: sequence b's first len(b) tokens land at rows start(b)...
+    Tensor y = Tensor::zeros(rows.totalRows(), d_);
     float *py = y.data();
-    nn::forEachRowSpan(rows, 32, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r)
-            embedRow(tokens[r], r % seq, py + r * d_);
+    runtime::parallelFor(0, batch, 1, [&](std::size_t b0, std::size_t b1) {
+        for (std::size_t b = b0; b < b1; ++b)
+            for (std::size_t t = 0; t < rows.len(b); ++t)
+                embedRow(tokens[b * seq + t], t,
+                         py + (rows.start(b) + t) * d_);
     });
     return y;
 }
@@ -78,7 +84,7 @@ Embedding::forwardStep(const std::vector<int> &tokens,
     if (positions.size() != n)
         throw std::invalid_argument("Embedding::forwardStep: position count");
 
-    Tensor y = Tensor::zeros(n, 1, d_);
+    Tensor y = Tensor::zeros(n, d_);
     for (std::size_t b = 0; b < n; ++b) {
         const int id = tokens[b];
         if (id < 0 || static_cast<std::size_t>(id) >= vocab_)
@@ -177,33 +183,34 @@ MeanPoolClassifier::forward(const Tensor &x)
 {
     if (x.rank() != 3 || x.dim(2) != d_)
         throw std::invalid_argument("MeanPoolClassifier: [b,t,d] required");
-    return forwardMasked(x, std::vector<std::size_t>(x.dim(0), x.dim(1)));
+    return forwardMasked(x, nn::RowSet(x.dim(0), x.dim(1)),
+                         std::vector<std::size_t>(x.dim(0), x.dim(1)));
 }
 
 Tensor
-MeanPoolClassifier::forwardMasked(const Tensor &x,
+MeanPoolClassifier::forwardMasked(const Tensor &x, const nn::RowSet &rows,
                                   const std::vector<std::size_t> &lens)
 {
-    if (x.rank() != 3 || x.dim(2) != d_)
-        throw std::invalid_argument("MeanPoolClassifier: [b,t,d] required");
-    if (lens.size() != x.dim(0))
+    checkPackedRows(x, rows, d_, "MeanPoolClassifier::forwardMasked");
+    if (lens.size() != rows.batch())
         throw std::invalid_argument(
             "MeanPoolClassifier::forwardMasked: lens size != batch");
-    batch_ = x.dim(0);
-    t_ = x.dim(1);
+    batch_ = rows.batch();
+    t_ = rows.seq();
 
-    // The sum and the divisor cover the real prefix only: bitwise
-    // equal to pooling an unpadded length-lens[b] input.
+    // The sum and the divisor cover each sequence's first lens[b] rows
+    // only: bitwise equal to pooling an unpadded length-lens[b] input.
     cached_pooled_ = Tensor::zeros(batch_, d_);
     for (std::size_t b = 0; b < batch_; ++b) {
         const std::size_t valid = lens[b];
-        if (valid == 0 || valid > t_)
+        if (valid == 0 || valid > rows.len(b))
             throw std::invalid_argument(
-                "MeanPoolClassifier::forwardMasked: len out of [1, t]");
+                "MeanPoolClassifier::forwardMasked: len out of "
+                "[1, rows.len(b)]");
         const float inv = 1.0f / static_cast<float>(valid);
         float *pool = cached_pooled_.data() + b * d_;
         for (std::size_t t = 0; t < valid; ++t) {
-            const float *row = x.data() + (b * t_ + t) * d_;
+            const float *row = x.data() + (rows.start(b) + t) * d_;
             for (std::size_t j = 0; j < d_; ++j)
                 pool[j] += row[j] * inv;
         }

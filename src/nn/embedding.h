@@ -22,26 +22,29 @@ class Embedding
     Embedding(std::size_t vocab, std::size_t max_seq, std::size_t d_model,
               Rng &rng);
 
-    /** forwardRows over the padding-free RowSet(batch, seq), plus the
-     *  token cache for backward(). tokens is a flat [batch*seq] id
-     *  array. */
+    /** forwardRows over the padding-free RowSet(batch, seq) as a
+     *  [batch, seq, d] batch, plus the token cache for backward().
+     *  tokens is a flat [batch*seq] id array. */
     Tensor forward(const std::vector<int> &tokens, std::size_t batch,
                    std::size_t seq);
 
     /**
-     * Ragged inference embedding: looks up token + positional rows for
-     * the valid positions only, leaving padded rows zero (the ragged
-     * chain's invariant) - pad tokens are never embedded, though every
-     * id (pads included) is still range-checked so ragged and dense
-     * execution throw identically. Valid rows bitwise equal forward();
-     * inference-only (no token cache for backward()).
+     * Ragged inference embedding, where the packed layout begins:
+     * @p tokens is the right-padded [batch * seq] id array, and the
+     * result is [rows.totalRows(), d] with sequence b's first
+     * rows.len(b) tokens at rows [rows.start(b), rows.start(b) +
+     * rows.len(b)) (nn/rowset.h). Pad tokens are never embedded,
+     * though every id (pads included) is still range-checked so ragged
+     * and padding-free execution throw identically. Rows bitwise equal
+     * forward(); inference-only (no token cache for backward()).
      */
     Tensor forwardRows(const std::vector<int> &tokens,
                        const nn::RowSet &rows);
 
     /**
      * One decode step: embed tokens[b] at absolute position
-     * positions[b], returning [n, 1, d]. Each row is forwardRows' own
+     * positions[b], returning [n, d] (the packed form of
+     * RowSet(n, 1)). Each row is forwardRows' own
      * row lookup (embedRow) of the (b, positions[b]) row, so step rows
      * bitwise match a full-recompute embedding. Inference-only (no
      * token cache for backward()).
@@ -84,18 +87,23 @@ class MeanPoolClassifier
   public:
     MeanPoolClassifier(std::size_t d_model, std::size_t classes, Rng &rng);
 
-    /** [b, t, d] -> logits [b, classes]: forwardMasked with every
-     *  length equal to t. */
+    /** [b, t, d] -> logits [b, classes]: forwardMasked over the
+     *  padding-free RowSet(b, t), pooling every row. */
     Tensor forward(const Tensor &x);
 
     /**
-     * Masked pooling for right-padded batches: sequence b is averaged
-     * over its first lens[b] rows only (divided by lens[b], not t), so
-     * the pooled vector - and the logits row - match an unpadded
-     * length-lens[b] forward bit for bit. backward() assumes every
-     * length equals t (the forward() case).
+     * Masked pooling over packed rows: @p x is [rows.totalRows(), d]
+     * and sequence b is averaged over the first lens[b] rows of its
+     * segment, from rows.start(b) (divided by lens[b]), so the pooled
+     * vector - and the logits row - match an unpadded length-lens[b]
+     * forward bit for bit. An attention model passes lens =
+     * rows.lens(); a Fourier model runs the padding-free set and
+     * passes each request's real length. Throws std::invalid_argument
+     * unless @p x holds rows.totalRows() rows and every lens[b] is in
+     * [1, rows.len(b)]. backward() assumes every length equals t (the
+     * forward() case).
      */
-    Tensor forwardMasked(const Tensor &x,
+    Tensor forwardMasked(const Tensor &x, const nn::RowSet &rows,
                          const std::vector<std::size_t> &lens);
 
     /**

@@ -13,6 +13,8 @@
 #define FABNET_NN_LAYER_H
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nn/decode.h"
@@ -32,7 +34,8 @@ struct ParamRef
     std::vector<float> *grad;
 };
 
-/** Base class of all layers operating on [batch, seq, hidden] tensors. */
+/** Base class of all layers: training runs [batch, seq, hidden]
+ *  tensors, inference their packed [rows, hidden] form (forwardRows). */
 class Layer
 {
   public:
@@ -47,21 +50,17 @@ class Layer
     virtual Tensor forward(const Tensor &x) = 0;
 
     /**
-     * The inference path: forward over a right-padded [batch, seq, d]
-     * batch in which sequence b's first rows.len(b) rows are real and
-     * the rest padding. Every valid row is bitwise identical to that
-     * sequence's own unpadded forward() at any thread count; padded
-     * output rows are zero for overriding layers. A dense batch is the
-     * padding-free RowSet(batch, seq). Layers whose row loop dominates
-     * override this to SKIP padded rows (Dense, QuantizedDense,
-     * butterfly linears, LayerNorm, activations, the FFN and encoder
-     * block), and MultiHeadAttention restricts keys, values and the
-     * softmax to each sequence's real prefix. The default runs
-     * forward(x) over every row, pads included, which keeps the valid
-     * rows exact for row-wise layers. FourierMix keeps the default: its
-     * FFT is global over the padded length, so it reports
-     * supportsMasking() false and SequenceClassifier::forwardBatch
-     * hands such models the padding-free set only. Inference-only:
+     * The inference path over a packed batch: @p x holds the valid
+     * rows of every sequence back to back, [rows.totalRows(), d], with
+     * sequence b at rows [rows.start(b), rows.start(b) + rows.len(b))
+     * (nn/rowset.h). Each sequence's rows are bitwise identical to its
+     * own unpadded forward() at any thread count. Row-wise layers
+     * (linears, LayerNorm, activations, the FFN) run over every row of
+     * @p x and never read @p rows; MultiHeadAttention reads the
+     * sequence boundaries to attend each sequence over its own keys,
+     * and FourierMix to view the rows as [batch, seq, d] (it runs the
+     * padding-free set only, see supportsMasking()). The default runs
+     * forward(x), which is exact for row-wise layers. Inference-only:
      * backward() caches are not maintained.
      */
     virtual Tensor forwardRows(const Tensor &x, const RowSet &rows)
@@ -71,21 +70,21 @@ class Layer
     }
 
     /**
-     * One autoregressive decode step: @p x is the [n_live, 1, d] step
-     * tensor (one new row per live sequence) and @p step carries each
-     * sequence's K/V cache for this layer plus the row's absolute
-     * position. Row-wise layers need neither and the default - the
-     * layer's own forwardRows over the one-row RowSet - is exact for
-     * them; MultiHeadAttention overrides to append the step row's K/V
-     * projections and attend over the cached prefix, bitwise
-     * identical to a full causal recompute of the same position
-     * (nn/decode.h states the induction; `ctest -L decode-parity`
-     * pins it). Inference-only.
+     * One autoregressive decode step: @p x is the [n_live, d] step
+     * tensor (one new row per live sequence, the packed form of
+     * RowSet(n_live, 1)) and @p step carries each sequence's K/V cache
+     * for this layer plus the row's absolute position. Row-wise layers
+     * need neither and the default - the layer's own forwardRows over
+     * RowSet(n_live, 1) - is exact for them; MultiHeadAttention
+     * overrides to append the step row's K/V projections and attend
+     * over the cached prefix, bitwise identical to a full causal
+     * recompute of the same position (nn/decode.h states the
+     * induction; `ctest -L decode-parity` pins it). Inference-only.
      */
     virtual Tensor forwardStep(const Tensor &x, StepState &step)
     {
         (void)step;
-        return forwardRows(x, RowSet(x.dim(0), x.dim(1)));
+        return forwardRows(x, RowSet(x.dim(0), 1));
     }
 
     /**
@@ -104,12 +103,14 @@ class Layer
     }
 
     /**
-     * Whether forwardRows() honours padding exactly: true for row-wise
-     * layers and for layers that implement masking; false for layers
-     * that mix across the sequence without a masked form (FourierMix).
-     * Composite layers forward the query to their children. The
-     * serving engine uses this to refuse models whose served results
-     * would depend on padding.
+     * Whether forwardRows() runs any RowSet: true for row-wise layers
+     * and attention; false for layers that mix across the sequence
+     * without a per-sequence form (FourierMix, whose FFT runs over the
+     * whole padded length, so it takes the padding-free set only).
+     * Composite layers forward the query to their children.
+     * SequenceClassifier::forwardBatch hands a model the padding-free
+     * set when this is false, and the serving engine refuses such
+     * models unless told their results may depend on padding.
      */
     virtual bool supportsMasking() const { return true; }
 
@@ -205,6 +206,24 @@ allRows(const Tensor &x)
 {
     const std::size_t d = x.shape().back();
     return RowSet(d ? x.size() / d : 0, 1);
+}
+
+/**
+ * Throw std::invalid_argument unless @p x holds the packed rows of
+ * @p rows: rows.totalRows() rows of @p features floats. The entry
+ * points that read sequence boundaries call it, so a tensor in any
+ * other layout - a right-padded [batch, seq, d] batch above all - is
+ * refused instead of read at the wrong offsets.
+ */
+inline void
+checkPackedRows(const Tensor &x, const RowSet &rows, std::size_t features,
+                const char *who)
+{
+    if (x.rank() == 0 || x.shape().back() != features ||
+        x.size() != rows.totalRows() * features)
+        throw std::invalid_argument(
+            std::string(who) + ": input " + x.shapeString() +
+            " is not the packed rows of its RowSet");
 }
 
 /**

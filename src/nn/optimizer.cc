@@ -15,48 +15,6 @@ constexpr std::size_t kStepGrain = 1 << 13;
 
 } // namespace
 
-Sgd::Sgd(std::vector<ParamRef> params, float lr, float momentum)
-    : params_(std::move(params)), lr_(lr), momentum_(momentum)
-{
-    if (momentum_ != 0.0f) {
-        velocity_.resize(params_.size());
-        for (std::size_t i = 0; i < params_.size(); ++i)
-            velocity_[i].assign(params_[i].value->size(), 0.0f);
-    }
-}
-
-void
-Sgd::step()
-{
-    // Elementwise per parameter: chunked parallelism is bitwise
-    // identical to the serial sweep (no cross-element arithmetic).
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-        auto &w = *params_[i].value;
-        auto &g = *params_[i].grad;
-        sizeGrad(g, w.size()); // a layer backward() never reached
-        if (momentum_ != 0.0f) {
-            auto &vel = velocity_[i];
-            runtime::parallelFor(0, w.size(), kStepGrain,
-                                 [&](std::size_t j0, std::size_t j1) {
-                                     for (std::size_t j = j0; j < j1;
-                                          ++j) {
-                                         vel[j] = momentum_ * vel[j] -
-                                                  lr_ * g[j];
-                                         w[j] += vel[j];
-                                     }
-                                 });
-        } else {
-            runtime::parallelFor(0, w.size(), kStepGrain,
-                                 [&](std::size_t j0, std::size_t j1) {
-                                     for (std::size_t j = j0; j < j1;
-                                          ++j)
-                                         w[j] -= lr_ * g[j];
-                                 });
-        }
-        std::fill(g.begin(), g.end(), 0.0f);
-    }
-}
-
 Adam::Adam(std::vector<ParamRef> params, float lr, float beta1, float beta2,
            float eps)
     : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
@@ -78,7 +36,8 @@ Adam::step()
         1.0f - std::pow(beta1_, static_cast<float>(t_));
     const float bc2 =
         1.0f - std::pow(beta2_, static_cast<float>(t_));
-    // Elementwise per parameter (see Sgd::step on determinism).
+    // Elementwise per parameter: chunked parallelism is bitwise
+    // identical to the serial sweep (no cross-element arithmetic).
     for (std::size_t i = 0; i < params_.size(); ++i) {
         auto &w = *params_[i].value;
         auto &g = *params_[i].grad;

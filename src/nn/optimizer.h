@@ -1,6 +1,6 @@
 /**
  * @file optimizer.h
- * SGD and Adam optimisers over flat parameter lists.
+ * The Adam optimiser over flat parameter lists, and gradient clipping.
  */
 #ifndef FABNET_NN_OPTIMIZER_H
 #define FABNET_NN_OPTIMIZER_H
@@ -11,25 +11,6 @@
 
 namespace fabnet {
 namespace nn {
-
-/** Plain SGD with optional momentum. */
-class Sgd
-{
-  public:
-    explicit Sgd(std::vector<ParamRef> params, float lr = 0.01f,
-                 float momentum = 0.0f);
-
-    /** Apply one update using the accumulated gradients, then zero them. */
-    void step();
-
-    float lr() const { return lr_; }
-    void setLr(float lr) { lr_ = lr; }
-
-  private:
-    std::vector<ParamRef> params_;
-    float lr_, momentum_;
-    std::vector<std::vector<float>> velocity_;
-};
 
 /** Adam (Kingma & Ba) with bias correction. */
 class Adam

@@ -11,10 +11,11 @@
  * (runtime/parallel.h) saturated, amortising weight traffic across
  * requests exactly as the paper's accelerator amortises it across a
  * sequence. forwardBatch executes RAGGED for maskable models: a
- * nn::RowSet valid-row descriptor is built per batch and the padded
- * rows bucketing introduces are skipped in every row-wise layer
- * (ServingStats::rows_skipped counts them; logits unchanged bit for
- * bit - docs/ARCHITECTURE.md "Ragged batch execution").
+ * nn::RowSet descriptor is built per batch and the embedding packs
+ * each request's real rows back to back, so no layer computes the
+ * padded rows bucketing introduces (ServingStats::rows_skipped counts
+ * them; logits unchanged bit for bit - docs/ARCHITECTURE.md "Ragged
+ * batch execution").
  *
  * ## Failure model (docs/SERVING.md "Failure model")
  * Every failure is a typed serve::Error (serve/error.h): admission
@@ -49,10 +50,10 @@
  * ## Determinism
  * For attention-mixer models every served logits row is bitwise
  * identical to forward(request, 1, len) run serially, at any thread
- * count and under any batch composition: padded keys are masked out of
- * attention, padded rows out of the pooled head, and every kernel is
- * per-row order-preserving (see model/classifier.h::forwardBatch and
- * tests/serving_test.cpp). Fault isolation preserves this: rows
+ * count and under any batch composition: no padded row is computed,
+ * each request attends over its own keys and pools its own rows, and
+ * every kernel is per-row order-preserving (see
+ * model/classifier.h::forwardBatch and tests/serving_test.cpp). Fault isolation preserves this: rows
  * re-served by the isolation pass run as 1-row batches at their
  * group's padded length, which the same guarantee makes bitwise equal
  * to their batched result - for Fourier-mixer models too, whose rows

@@ -425,16 +425,6 @@ scale(const Tensor &a, float s)
     return c;
 }
 
-void
-addInPlace(Tensor &a, const Tensor &b)
-{
-    requireSameShape(a, b, "addInPlace");
-    float *pa = a.data();
-    const float *pb = b.data();
-    for (std::size_t i = 0; i < a.size(); ++i)
-        pa[i] += pb[i];
-}
-
 Tensor
 softmaxLastDim(const Tensor &a)
 {

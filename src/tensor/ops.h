@@ -114,9 +114,6 @@ Tensor mul(const Tensor &a, const Tensor &b);
 /** Scale every element by @p s. */
 Tensor scale(const Tensor &a, float s);
 
-/** a += b in place; shapes must match. */
-void addInPlace(Tensor &a, const Tensor &b);
-
 /**
  * Row-wise softmax over the last dimension (runtime::softmaxRow at
  * scale 1). Works for rank 2 ([rows, cols]) and rank 3 ([b, t, d]).

@@ -74,6 +74,35 @@ TEST(Attention, HeadsMustDivideModelDim)
     EXPECT_THROW(makeDenseMha(10, 3, rng), std::invalid_argument);
 }
 
+TEST(Attention, RowEntryPointsRefuseInputsThatAreNotPacked)
+{
+    // forwardRows and forwardPrefill read sequence b at packed rows
+    // [start(b), start(b) + len(b)), so an input of any other size -
+    // the right-padded [batch, seq, d] layout above all - is refused.
+    Rng rng(12);
+    const std::size_t d = 8;
+    const RowSet rows(2, 6, {3, 6});
+    const Tensor padded = rng.normalTensor({2, 6, d});
+    const Tensor packed = rng.normalTensor({rows.totalRows(), d});
+    auto mha = makeDenseMha(d, 2, rng);
+    EXPECT_NO_THROW(mha->forwardRows(packed, rows));
+    EXPECT_THROW(mha->forwardRows(padded, rows), std::invalid_argument);
+
+    MultiHeadAttention causal(d, 2, std::make_unique<Dense>(d, d, rng),
+                              std::make_unique<Dense>(d, d, rng),
+                              std::make_unique<Dense>(d, d, rng),
+                              std::make_unique<Dense>(d, d, rng),
+                              /*causal=*/true);
+    std::vector<KVCache> caches(2);
+    StepState step;
+    for (KVCache &c : caches)
+        step.caches.push_back(&c);
+    step.positions.assign(2, 0);
+    EXPECT_THROW(causal.forwardPrefill(padded, rows, step),
+                 std::invalid_argument);
+    EXPECT_EQ(caches[0].len + caches[1].len, 0u);
+}
+
 TEST(Attention, UniformValuesGiveUniformContext)
 {
     // When V is constant across tokens, any attention distribution

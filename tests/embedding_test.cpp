@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/embedding.h"
@@ -88,6 +89,29 @@ TEST(MeanPoolClassifier, PoolsThenProjects)
             acc += w[c * 4 + j] * 2.0f;
         EXPECT_NEAR(logits.at(0, c), acc, 1e-5f);
     }
+}
+
+TEST(MeanPoolClassifier, ForwardMaskedPoolsPackedSegments)
+{
+    Rng rng(7);
+    MeanPoolClassifier head(4, 3, rng);
+    const RowSet rows(2, 5, {2, 5});
+    Rng rng2(8);
+    const Tensor packed = rng2.normalTensor({rows.totalRows(), 4});
+    // Sequence 1's segment starts at packed row 2: pooling its first
+    // three rows equals forward() over exactly those rows.
+    Tensor x1 = Tensor::zeros(1, 3, 4);
+    std::copy_n(packed.data() + 2 * 4, 3 * 4, x1.data());
+    const Tensor want = head.forward(x1);
+    const Tensor got = head.forwardMasked(packed, rows, {2, 3});
+    for (std::size_t c = 0; c < 3; ++c)
+        EXPECT_EQ(got.at(1, c), want.at(0, c));
+    // A right-padded [batch, seq, d] tensor is not the packed rows of
+    // a ragged set, and a length may not exceed its segment.
+    EXPECT_THROW(head.forwardMasked(Tensor::zeros(2, 5, 4), rows, {2, 5}),
+                 std::invalid_argument);
+    EXPECT_THROW(head.forwardMasked(packed, rows, {3, 5}),
+                 std::invalid_argument);
 }
 
 TEST(MeanPoolClassifier, BackwardSpreadsGradOverTokens)

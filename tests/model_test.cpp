@@ -10,6 +10,7 @@
 #include "model/classifier.h"
 #include "model/config.h"
 #include "nn/optimizer.h"
+#include "serve/serving.h"
 #include "tensor/rng.h"
 
 namespace fabnet {
@@ -62,6 +63,29 @@ TEST(Builder, AllFamiliesProduceWorkingForward)
         EXPECT_EQ(logits.shape(), (std::vector<std::size_t>{2, 3}))
             << cfg.describe();
     }
+}
+
+TEST(Builder, FourierMixersNeedAPowerOfTwoWidth)
+{
+    // A Fourier mixer transforms power-of-two hidden sizes only, so a
+    // model it could never run is refused when it is built, before a
+    // serving engine could admit a request for it.
+    ModelConfig fnet = tinyConfig(ModelKind::FNet);
+    fnet.n_total = 1;
+    fnet.d_hid = 24;
+    Rng rng(31);
+    EXPECT_THROW(buildModel(fnet, rng), std::invalid_argument);
+    EXPECT_THROW(buildModel(fabnetBase(), rng), std::invalid_argument);
+
+    fnet.d_hid = 16;
+    auto model = buildModel(fnet, rng);
+    serve::ServingConfig sc;
+    sc.bucket_granularity = 1;
+    serve::ServingEngine engine(*model, sc);
+    const auto out = engine.serveAll({{1, 2, 3, 4}, {5, 6}});
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].size(), fnet.classes);
+    EXPECT_EQ(out[1].size(), fnet.classes);
 }
 
 TEST(Builder, FabnetHybridUsesAbflyBlocks)

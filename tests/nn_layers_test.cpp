@@ -1,8 +1,8 @@
 /**
  * @file nn_layers_test.cpp
  * Gradient checks and semantics for every nn layer: Dense,
- * ButterflyDense, LayerNorm, activations, FourierMix, FeedForward and
- * the full EncoderBlock.
+ * ButterflyDense, LayerNorm, Gelu, FourierMix, FeedForward and the
+ * full EncoderBlock.
  */
 #include <gtest/gtest.h>
 
@@ -115,18 +115,6 @@ TEST(LayerNorm, GradCheck)
     EXPECT_TRUE(checkParamGrad(ln, x).passed);
 }
 
-TEST(Activations, ReluGradCheck)
-{
-    Relu relu;
-    Rng rng(15);
-    // Keep values away from the kink at 0 for finite differences.
-    Tensor x = rng.normalTensor({2, 3, 6});
-    for (float &v : x.raw())
-        if (std::fabs(v) < 0.05f)
-            v += 0.2f;
-    EXPECT_TRUE(checkInputGrad(relu, x).passed);
-}
-
 TEST(Activations, GeluGradCheck)
 {
     Gelu gelu;
@@ -136,17 +124,47 @@ TEST(Activations, GeluGradCheck)
 
 TEST(FourierMixLayer, GradCheck)
 {
-    FourierMix mix;
+    FourierMix mix(4);
     Tensor x = randomInput(1, 8, 4, 17);
     EXPECT_TRUE(checkInputGrad(mix, x).passed);
 }
 
 TEST(FourierMixLayer, NoParameters)
 {
-    FourierMix mix;
+    FourierMix mix(4);
     std::vector<ParamRef> ps;
     mix.collectParams(ps);
     EXPECT_TRUE(ps.empty());
+}
+
+TEST(FourierMixLayer, RefusesWidthsTheFftCannotRun)
+{
+    // fourierMix2D transforms power-of-two widths only, so any other
+    // width is refused when the layer is built.
+    EXPECT_THROW(FourierMix(24), std::invalid_argument);
+    EXPECT_THROW(FourierMix(768), std::invalid_argument);
+    EXPECT_NO_THROW(FourierMix(16));
+}
+
+TEST(FourierMixLayer, ForwardRowsRunsThePackedPaddingFreeSetOnly)
+{
+    FourierMix mix(4);
+    const Tensor x = randomInput(2, 8, 4, 31);
+    const Tensor want = mix.forward(x);
+    // The padding-free set's packed rows are the batch's rows.
+    const Tensor got =
+        mix.forwardRows(x.reshaped({16, 4}), RowSet(2, 8));
+    EXPECT_EQ(got.shape(), (std::vector<std::size_t>{16, 4}));
+    EXPECT_EQ(got.raw(), want.raw());
+    // A padded [batch, seq, d] tensor is not the packed rows of a
+    // ragged set.
+    const RowSet ragged(2, 8, {5, 8});
+    EXPECT_THROW(mix.forwardRows(x, ragged), std::invalid_argument);
+    // Packed rows of a set with padding: no per-sequence mix exists.
+    EXPECT_THROW(mix.forwardRows(randomInput(1, 13, 4, 32)
+                                     .reshaped({13, 4}),
+                                 ragged),
+                 std::invalid_argument);
 }
 
 TEST(FeedForward, DenseGradCheck)
@@ -178,7 +196,7 @@ TEST(EncoderBlock, FourierBlockGradCheck)
         std::make_unique<ButterflyDense>(8, 16, rng),
         std::make_unique<Gelu>(),
         std::make_unique<ButterflyDense>(16, 8, rng));
-    EncoderBlock blk(8, std::make_unique<FourierMix>(), std::move(ffn));
+    EncoderBlock blk(8, std::make_unique<FourierMix>(8), std::move(ffn));
     Tensor x = randomInput(1, 4, 8, 23);
     EXPECT_TRUE(checkInputGrad(blk, x, 7, 1e-3f, 3e-2f).passed);
     EXPECT_TRUE(checkParamGrad(blk, x, 7, 1e-3f, 3e-2f).passed);
@@ -190,7 +208,7 @@ TEST(EncoderBlock, OutputShapeMatchesInput)
     auto ffn = std::make_unique<FeedForward>(
         std::make_unique<Dense>(8, 16, rng), std::make_unique<Gelu>(),
         std::make_unique<Dense>(16, 8, rng));
-    EncoderBlock blk(8, std::make_unique<FourierMix>(), std::move(ffn));
+    EncoderBlock blk(8, std::make_unique<FourierMix>(8), std::move(ffn));
     Tensor x = randomInput(2, 4, 8, 26);
     Tensor y = blk.forward(x);
     EXPECT_EQ(y.shape(), x.shape());
@@ -202,7 +220,7 @@ TEST(EncoderBlock, ParamsAggregateSublayers)
     auto ffn = std::make_unique<FeedForward>(
         std::make_unique<Dense>(8, 16, rng), std::make_unique<Gelu>(),
         std::make_unique<Dense>(16, 8, rng));
-    EncoderBlock blk(8, std::make_unique<FourierMix>(), std::move(ffn));
+    EncoderBlock blk(8, std::make_unique<FourierMix>(8), std::move(ffn));
     std::vector<ParamRef> ps;
     blk.collectParams(ps);
     // FFN: 2 layers x (W, b) = 4; two LayerNorms x (gamma, beta) = 4.

@@ -1,6 +1,6 @@
 /**
  * @file optimizer_test.cpp
- * SGD/Adam convergence and gradient clipping.
+ * Adam convergence and gradient clipping.
  */
 #include <gtest/gtest.h>
 
@@ -36,43 +36,6 @@ struct Quadratic
         return loss;
     }
 };
-
-TEST(Sgd, ConvergesOnQuadratic)
-{
-    Quadratic q({1.0f, -2.0f, 3.0f});
-    Sgd opt({q.param()}, 0.1f);
-    for (int i = 0; i < 200; ++i) {
-        q.computeGrad();
-        opt.step();
-    }
-    for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_NEAR(q.w[i], q.target[i], 1e-3f);
-}
-
-TEST(Sgd, MomentumAcceleratesProgress)
-{
-    Quadratic plain({5.0f});
-    Quadratic mom({5.0f});
-    Sgd o1({plain.param()}, 0.01f);
-    Sgd o2({mom.param()}, 0.01f, 0.9f);
-    for (int i = 0; i < 50; ++i) {
-        plain.computeGrad();
-        o1.step();
-        mom.computeGrad();
-        o2.step();
-    }
-    EXPECT_LT(std::fabs(mom.w[0] - 5.0f),
-              std::fabs(plain.w[0] - 5.0f));
-}
-
-TEST(Sgd, ZerosGradAfterStep)
-{
-    Quadratic q({1.0f});
-    Sgd opt({q.param()}, 0.1f);
-    q.computeGrad();
-    opt.step();
-    EXPECT_FLOAT_EQ(q.g[0], 0.0f);
-}
 
 TEST(Adam, ConvergesOnQuadratic)
 {

@@ -294,10 +294,11 @@ TEST_F(ParallelKernelsTest, DenseForwardThreadCountInvariance)
 TEST_F(ParallelKernelsTest, DenseForwardEqualsScalarChain)
 {
     // Dense::forwardRows has no row-count branch: below, at and past
-    // the GEMM tile height, and on a ragged set, every output is the
-    // chain bias, then i-ascending madd over the stored [in, out]
-    // weight - the chain single-token inference used to run as scalar
-    // dot products.
+    // the GEMM tile height, and on a packed ragged set (whose 4-row
+    // tiles hold rows of two sequences), every output is the chain
+    // bias, then i-ascending madd over the stored [in, out] weight -
+    // the chain single-token inference used to run as scalar dot
+    // products.
     const std::size_t in = 24, out = 37;
     Rng rng(79);
     nn::Dense dense(in, out, rng);
@@ -314,19 +315,16 @@ TEST_F(ParallelKernelsTest, DenseForwardEqualsScalarChain)
     cases.emplace_back(ragged, testutil::raggedInput(ragged, in, 90));
 
     for (const auto &[rows, x] : cases) {
-        Tensor want({rows.batch(), rows.seq(), out});
-        rows.forEachSpan(0, rows.totalRows(),
-                         [&](std::size_t r0, std::size_t r1) {
-            for (std::size_t r = r0; r < r1; ++r) {
-                const float *xr = x.data() + r * in;
-                for (std::size_t o = 0; o < out; ++o) {
-                    float acc = dense.bias()[o];
-                    for (std::size_t i = 0; i < in; ++i)
-                        acc = runtime::madd(xr[i], w[i * out + o], acc);
-                    want.data()[r * out + o] = acc;
-                }
+        Tensor want({rows.totalRows(), out});
+        for (std::size_t r = 0; r < rows.totalRows(); ++r) {
+            const float *xr = x.data() + r * in;
+            for (std::size_t o = 0; o < out; ++o) {
+                float acc = dense.bias()[o];
+                for (std::size_t i = 0; i < in; ++i)
+                    acc = runtime::madd(xr[i], w[i * out + o], acc);
+                want.data()[r * out + o] = acc;
             }
-        });
+        }
         forEachThreadCount([&](std::size_t threads) {
             EXPECT_TRUE(bitwiseEqual(dense.forwardRows(x, rows), want))
                 << rows.totalRows() << " rows over " << rows.batch()
@@ -358,12 +356,11 @@ TEST_F(ParallelKernelsTest, SimBatchCrossValidation)
 
 // --------------------------------------------------- ragged parity
 //
-// The ragged (skip-padded-rows) forward of every row-wise layer must
-// be bitwise identical to each sequence's unpadded forward over the
-// VALID rows -
-// and leave padded rows exactly zero - at threads {1, 4, 8}, across
-// degenerate length vectors (batch of 1, all-equal/no-padding,
-// all-single-token, max-straddle mixes). `ctest -L ragged-parity`.
+// The packed-batch forward of every layer must be bitwise identical
+// to each sequence's unpadded forward, row for row, at threads
+// {1, 4, 8}, across degenerate length vectors (batch of 1,
+// all-equal/no-padding, all-single-token, max-straddle mixes).
+// `ctest -L ragged-parity`.
 
 TEST_F(ParallelKernelsTest, RaggedDenseParity)
 {
@@ -434,22 +431,20 @@ TEST_F(ParallelKernelsTest, RaggedLayerNormAndActivationParity)
 {
     const std::size_t seq = 11, d = 16;
     nn::LayerNorm ln(d);
-    nn::Relu relu;
     nn::Gelu gelu;
     for (const auto &lens : testutil::raggedLensSweep(seq, 233)) {
         const nn::RowSet rows(lens.size(), seq, lens);
         const Tensor x = testutil::raggedInput(rows, d, 89);
         testutil::expectRaggedForwardParity(ln, x, rows, "LayerNorm");
-        testutil::expectRaggedForwardParity(relu, x, rows, "Relu");
         testutil::expectRaggedForwardParity(gelu, x, rows, "Gelu");
     }
 }
 
 TEST_F(ParallelKernelsTest, RaggedAttentionParity)
 {
-    // forwardRows vs unpadded forward: the ragged core computes only
-    // the real prefix (queries AND keys) and skips the attn_ cache, yet
-    // valid rows must match bit for bit - causal too.
+    // forwardRows vs unpadded forward: each sequence's rows attend
+    // over that sequence's keys only and skip the attn_ cache, yet
+    // every row must match bit for bit - causal too.
     // The long shapes add lengths straddling the 32-row query block
     // and the 32-key column tile.
     const AttnShape shapes[] = {{9, 12, 3}, {67, 64, 2}, {130, 64, 2}};
@@ -475,7 +470,8 @@ TEST_F(ParallelKernelsTest, RaggedAttentionParity)
 
 TEST_F(ParallelKernelsTest, RaggedEncoderBlockParity)
 {
-    // Whole block: masked mixer + ragged residuals/norms/FFN.
+    // Whole block: attention over packed rows + row-wise
+    // residuals/norms/FFN.
     const std::size_t d = 16, seq = 13;
     Rng rng(103);
     auto mha = std::make_unique<nn::MultiHeadAttention>(
@@ -507,82 +503,59 @@ TEST_F(ParallelKernelsTest, RaggedEmbeddingAndPooledHeadParity)
     nn::MeanPoolClassifier head(d, classes, rng);
     for (const auto &lens : testutil::raggedLensSweep(seq, 257)) {
         const nn::RowSet rows(lens.size(), seq, lens);
-        std::vector<int> tokens(rows.paddedRows());
+        std::vector<int> tokens(rows.batch() * seq);
         for (int &t : tokens)
             t = rng.randint(0, static_cast<int>(vocab) - 1);
         const Tensor x = testutil::raggedInput(rows, d, 109);
 
         runtime::setNumThreads(1);
-        Tensor want_emb({rows.batch(), seq, d});
+        Tensor want_emb({rows.totalRows(), d});
         Tensor want_logits({rows.batch(), classes});
         for (std::size_t b = 0; b < rows.batch(); ++b) {
             const std::size_t n = lens[b];
             const std::vector<int> tb(tokens.begin() + b * seq,
                                       tokens.begin() + b * seq + n);
             const Tensor eb = emb.forward(tb, 1, n);
-            std::memcpy(want_emb.data() + b * seq * d, eb.data(),
+            std::memcpy(want_emb.data() + rows.start(b) * d, eb.data(),
                         n * d * sizeof(float));
             Tensor xb({1, n, d});
-            std::memcpy(xb.data(), x.data() + b * seq * d,
+            std::memcpy(xb.data(), x.data() + rows.start(b) * d,
                         n * d * sizeof(float));
             const Tensor lb = head.forward(xb);
             std::memcpy(want_logits.data() + b * classes, lb.data(),
                         classes * sizeof(float));
         }
         forEachThreadCount([&](std::size_t threads) {
-            const Tensor got = emb.forwardRows(tokens, rows);
-            EXPECT_TRUE(testutil::validRowsBitwiseEqual(got, want_emb, rows))
-                << "Embedding valid rows, threads=" << threads;
-            EXPECT_TRUE(testutil::paddedRowsZero(got, rows))
-                << "Embedding padded rows, threads=" << threads;
-            EXPECT_TRUE(bitwiseEqual(head.forwardMasked(x, lens),
+            EXPECT_TRUE(bitwiseEqual(emb.forwardRows(tokens, rows),
+                                     want_emb))
+                << "Embedding rows, threads=" << threads;
+            EXPECT_TRUE(bitwiseEqual(head.forwardMasked(x, rows, lens),
                                      want_logits))
                 << "MeanPoolClassifier logits, threads=" << threads;
         });
     }
 }
 
-TEST_F(ParallelKernelsTest, RowSetSpansCoverExactlyTheValidRows)
+TEST_F(ParallelKernelsTest, RowSetStartsArePrefixSums)
 {
-    // The descriptor itself: spans must cover each valid row exactly
-    // once, in ascending order, for degenerate and random shapes.
+    // The descriptor itself: sequence b's packed rows start where the
+    // sequences before it end, so the segments tile [0, totalRows())
+    // exactly once, in order, for degenerate and random shapes.
     const std::size_t seq = 7;
     for (const auto &lens : testutil::raggedLensSweep(seq, 251, 4)) {
         const nn::RowSet rows(lens.size(), seq, lens);
-        std::vector<int> hits(rows.paddedRows(), 0);
-        std::size_t last_end = 0;
-        rows.forEachSpan(0, rows.totalRows(),
-                         [&](std::size_t r0, std::size_t r1) {
-                             EXPECT_GE(r0, last_end);
-                             EXPECT_LT(r0, r1);
-                             last_end = r1;
-                             for (std::size_t r = r0; r < r1; ++r)
-                                 ++hits[r];
-                         });
-        std::size_t total = 0;
+        std::size_t next = 0;
         for (std::size_t b = 0; b < rows.batch(); ++b) {
-            for (std::size_t t = 0; t < seq; ++t) {
-                const bool valid = t < rows.len(b);
-                EXPECT_EQ(hits[b * seq + t], valid ? 1 : 0)
-                    << "row (" << b << ", " << t << ")";
-                total += valid;
-            }
+            EXPECT_EQ(rows.start(b), next) << "sequence " << b;
+            EXPECT_EQ(rows.len(b), lens[b]);
+            next += lens[b];
         }
-        EXPECT_EQ(rows.totalRows(), total);
-        EXPECT_EQ(rows.rowsSkipped(), rows.paddedRows() - total);
-        // Chunked sweeps must see the same coverage regardless of the
-        // chunk boundaries (the parallelFor determinism contract).
-        std::fill(hits.begin(), hits.end(), 0);
-        for (std::size_t p = 0; p < rows.totalRows(); p += 3)
-            rows.forEachSpan(p, std::min(p + 3, rows.totalRows()),
-                             [&](std::size_t r0, std::size_t r1) {
-                                 for (std::size_t r = r0; r < r1; ++r)
-                                     ++hits[r];
-                             });
-        for (std::size_t b = 0; b < rows.batch(); ++b)
-            for (std::size_t t = 0; t < rows.len(b); ++t)
-                EXPECT_EQ(hits[b * seq + t], 1);
+        EXPECT_EQ(rows.totalRows(), next);
     }
+    const nn::RowSet dense(3, 5);
+    for (std::size_t b = 0; b < 3; ++b)
+        EXPECT_EQ(dense.start(b), b * 5);
+    EXPECT_EQ(dense.totalRows(), 15u);
     EXPECT_THROW(nn::RowSet(2, 4, {1}), std::invalid_argument);
     EXPECT_THROW(nn::RowSet(1, 4, {0}), std::invalid_argument);
     EXPECT_THROW(nn::RowSet(1, 4, {5}), std::invalid_argument);

@@ -197,12 +197,14 @@ TEST_F(SparseAttentionTest, TopKCoveringAllKeysIsBitwiseDense)
                         << "t=" << t << " causal=" << causal
                         << " k=" << k << " threads=" << threads;
                 });
-                // Ragged batch too: selection sees only the real prefix.
+                // Ragged batch too: selection sees only the sequence's
+                // own keys.
                 const nn::RowSet rows(sh.lens.size(), t, sh.lens);
+                const Tensor xm = raggedInput(rows, sh.d, 12);
                 runtime::setNumThreads(1);
-                const Tensor want_m = exact->forwardRows(x, rows);
+                const Tensor want_m = exact->forwardRows(xm, rows);
                 forEachThreadCount([&](std::size_t threads) {
-                    EXPECT_TRUE(bitwiseEqual(topk->forwardRows(x, rows),
+                    EXPECT_TRUE(bitwiseEqual(topk->forwardRows(xm, rows),
                                              want_m))
                         << "ragged t=" << t << " causal=" << causal
                         << " k=" << k << " threads=" << threads;
@@ -298,11 +300,12 @@ TEST_F(SparseAttentionTest, ApproxDecodeStepMatchesFullRecompute)
             step.positions.assign(b, 0);
             // Prefill the first rows, then decode the rest one row at
             // a time; every incremental row must reproduce the full
-            // recompute's bits.
+            // recompute's bits. Both inputs are packed: prefill_len
+            // rows per sequence, then one [b, d] row per step.
             const nn::RowSet rows(
                 b, prefill_len,
                 std::vector<std::size_t>(b, prefill_len));
-            Tensor xp = Tensor::zeros(b, prefill_len, d);
+            Tensor xp = Tensor::zeros(b * prefill_len, d);
             for (std::size_t bb = 0; bb < b; ++bb)
                 std::memcpy(xp.data() + bb * prefill_len * d,
                             x.data() + bb * t * d,
@@ -316,7 +319,7 @@ TEST_F(SparseAttentionTest, ApproxDecodeStepMatchesFullRecompute)
                           0)
                     << tag << " prefill rows, seq " << bb;
             for (std::size_t i = prefill_len; i < t; ++i) {
-                Tensor xs = Tensor::zeros(b, 1, d);
+                Tensor xs = Tensor::zeros(b, d);
                 for (std::size_t bb = 0; bb < b; ++bb)
                     std::memcpy(xs.data() + bb * d,
                                 x.data() + (bb * t + i) * d,

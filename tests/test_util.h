@@ -353,7 +353,7 @@ expectBackwardParity(nn::Layer &layer, const Tensor &x, unsigned seed,
 
 /**
  * Length-vector sweep for ragged-batch parity tests: the degenerate
- * corners the RowSet spans must survive (batch of 1, all lengths
+ * corners a packed batch must survive (batch of 1, all lengths
  * equal to seq - padding-free, all single-token rows, lengths
  * straddling the full [1, seq] range including a max-length row),
  * plus @p extra random ragged draws. Every entry is a lens vector
@@ -382,76 +382,35 @@ raggedLensSweep(std::size_t seq, unsigned seed, std::size_t extra = 2)
     return sweeps;
 }
 
-/** N(0,1) [batch, seq, d] input with the PADDED rows zeroed - the
- *  invariant every tensor in a ragged chain satisfies. */
+/** N(0,1) packed input of @p rows: [rows.totalRows(), d], sequence b
+ *  at rows [rows.start(b), rows.start(b) + rows.len(b)). */
 inline Tensor
 raggedInput(const nn::RowSet &rows, std::size_t d, unsigned seed)
 {
     Rng rng(seed);
-    Tensor x = rng.normalTensor({rows.batch(), rows.seq(), d});
-    float *px = x.data();
-    for (std::size_t b = 0; b < rows.batch(); ++b)
-        for (std::size_t t = rows.len(b); t < rows.seq(); ++t)
-            std::fill(px + (b * rows.seq() + t) * d,
-                      px + (b * rows.seq() + t + 1) * d, 0.0f);
-    return x;
-}
-
-/** Exact equality over the VALID rows of two [batch, seq, d] tensors. */
-inline ::testing::AssertionResult
-validRowsBitwiseEqual(const Tensor &got, const Tensor &want,
-                      const nn::RowSet &rows)
-{
-    if (got.shape() != want.shape())
-        return ::testing::AssertionFailure()
-               << "shape mismatch " << got.shapeString() << " vs "
-               << want.shapeString();
-    const std::size_t d = got.shape().back();
-    for (std::size_t b = 0; b < rows.batch(); ++b) {
-        const std::size_t off = b * rows.seq() * d;
-        if (std::memcmp(got.data() + off, want.data() + off,
-                        rows.len(b) * d * sizeof(float)) != 0)
-            return ::testing::AssertionFailure()
-                   << "valid rows differ in sequence " << b;
-    }
-    return ::testing::AssertionSuccess();
-}
-
-/** Assert every padded row of a ragged output is exactly zero. */
-inline ::testing::AssertionResult
-paddedRowsZero(const Tensor &got, const nn::RowSet &rows)
-{
-    const std::size_t d = got.shape().back();
-    for (std::size_t b = 0; b < rows.batch(); ++b)
-        for (std::size_t t = rows.len(b); t < rows.seq(); ++t)
-            for (std::size_t j = 0; j < d; ++j)
-                if (got.data()[(b * rows.seq() + t) * d + j] != 0.0f)
-                    return ::testing::AssertionFailure()
-                           << "padded row (" << b << ", " << t
-                           << ") not zero";
-    return ::testing::AssertionSuccess();
+    return rng.normalTensor({rows.totalRows(), d});
 }
 
 /**
- * The unpadded baseline of a ragged batch: each sequence's valid rows
- * run alone through the layer's forward() as a [1, rows.len(b), d]
- * batch, scattered back into a zero [batch, seq, d_out] tensor.
+ * The unpadded baseline of a packed batch: each sequence's rows run
+ * alone through the layer's forward() as a [1, rows.len(b), d] batch,
+ * packed back into a [rows.totalRows(), d_out] tensor.
  */
 inline Tensor
 unpaddedForward(nn::Layer &layer, const Tensor &x, const nn::RowSet &rows)
 {
-    const std::size_t d = x.dim(2);
+    const std::size_t d = x.dim(1);
     Tensor want;
     for (std::size_t b = 0; b < rows.batch(); ++b) {
         const std::size_t n = rows.len(b);
         Tensor xb({1, n, d});
-        std::memcpy(xb.data(), x.data() + b * rows.seq() * d,
+        std::memcpy(xb.data(), x.data() + rows.start(b) * d,
                     n * d * sizeof(float));
         const Tensor yb = layer.forward(xb);
         const std::size_t d_out = yb.dim(2);
         if (b == 0)
-            want = Tensor({rows.batch(), rows.seq(), d_out});
-        std::memcpy(want.data() + b * rows.seq() * d_out, yb.data(),
+            want = Tensor({rows.totalRows(), d_out});
+        std::memcpy(want.data() + rows.start(b) * d_out, yb.data(),
                     n * d_out * sizeof(float));
     }
     return want;
@@ -459,11 +418,9 @@ unpaddedForward(nn::Layer &layer, const Tensor &x, const nn::RowSet &rows)
 
 /**
  * The ragged-parity check: run each sequence's own unpadded forward()
- * once at one thread as the baseline, then forwardRows at each
- * kThreadCounts entry - valid rows must be BITWISE identical to the
- * baseline, and padded rows must be exactly zero (the ragged chain
- * invariant that lets downstream layers skip them). @p x must satisfy
- * the padded-rows-zero invariant itself (use raggedInput()).
+ * once at one thread as the baseline, then forwardRows on the packed
+ * batch at each kThreadCounts entry - every row must be BITWISE
+ * identical to the baseline. @p x is packed (use raggedInput()).
  */
 inline void
 expectRaggedForwardParity(nn::Layer &layer, const Tensor &x,
@@ -472,11 +429,8 @@ expectRaggedForwardParity(nn::Layer &layer, const Tensor &x,
     runtime::setNumThreads(1);
     const Tensor want = unpaddedForward(layer, x, rows);
     forEachThreadCount([&](std::size_t threads) {
-        const Tensor got = layer.forwardRows(x, rows);
-        EXPECT_TRUE(validRowsBitwiseEqual(got, want, rows))
-            << tag << " valid rows, threads=" << threads;
-        EXPECT_TRUE(paddedRowsZero(got, rows))
-            << tag << " padded rows, threads=" << threads;
+        EXPECT_TRUE(bitwiseEqual(layer.forwardRows(x, rows), want))
+            << tag << ", threads=" << threads;
     });
 }
 
